@@ -308,16 +308,31 @@ def _table_to_dict(table: ResultTable) -> Dict[str, Any]:
 
 def _emit(args: argparse.Namespace, session: Optional[Session],
           text: str, payload: Dict[str, Any]) -> None:
-    if args.stats and session is not None:
+    stats = args.stats and session is not None
+    if stats:
+        from ..uarch.batch import LANES_RUN
+        from ..uarch.ckernel import kernel_info
+        # Only a kernel this process already loaded: reporting must not
+        # build one (a resume pass, a daemon or pool workers time nothing
+        # here).
+        kernel = kernel_info()
         payload["session_stats"] = session.stats.as_dict()
         payload["cache_stats"] = session.cache_stats.as_dict()
+        payload["timing_kernel"] = {
+            "name": kernel and kernel.name, "path": kernel and kernel.path,
+            "reason": kernel.reason if kernel else "not loaded",
+            "lanes": dict(LANES_RUN)}
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
     print(text)
-    if args.stats and session is not None:
+    if stats:
         print(f"\nsession stats : {session.stats.as_dict()}")
         print(f"cache stats   : {session.cache_stats.as_dict()}")
+        print(f"timing kernel : "
+              f"{kernel.describe() if kernel else 'not loaded'}; "
+              f"fused-kernel lanes in this process: {LANES_RUN['c']} c, "
+              f"{LANES_RUN['python']} python")
 
 
 # -- sub-commands -------------------------------------------------------------------
@@ -1191,7 +1206,7 @@ def _fuzz_metrics() -> Dict[str, Any]:
 
     Two probes over a fixed seed block, so the figures are comparable
     across commits: pure generation (spec sampling + assembly into a
-    :class:`Program`) and full differential runs (all six oracles).
+    :class:`Program`) and full differential runs (all seven oracles).
     """
     from ..fuzz import SynthSpec, generate_program, run_fuzz
 
@@ -1321,8 +1336,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
              f"differential  : {report.differential_runs} runs in "
              f"{report.elapsed_seconds:.1f}s "
              f"({report.runs_per_second:,.0f} runs/s)"]
+    for oracle, (count, reason) in report.skipped.items():
+        lines.append(f"skipped       : {oracle} on {count} seed(s) "
+                     f"({reason})")
     if report.ok:
-        lines.append("result        : all oracles passed")
+        lines.append("result        : all oracles passed" if not report.skipped
+                     else "result        : every oracle that ran passed")
     else:
         lines.append(f"result        : {len(report.failures)} failing "
                      f"seed(s)")

@@ -49,6 +49,8 @@ class FuzzReport:
     seeds: int
     oracles: Tuple[str, ...]
     failures: List[FuzzFailure] = field(default_factory=list)
+    #: oracle -> (seeds it was skipped on, the first skip's reason).
+    skipped: Dict[str, Tuple[int, str]] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     generate_seconds: float = 0.0  #: portion spent in pure generation probe
 
@@ -74,6 +76,8 @@ class FuzzReport:
             "ok": self.ok,
             "failure_count": len(self.failures),
             "failures": [failure.payload() for failure in self.failures],
+            "skipped": {oracle: {"seeds": count, "reason": reason}
+                        for oracle, (count, reason) in self.skipped.items()},
             "differential_runs": self.differential_runs,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "runs_per_second": round(self.runs_per_second, 2),
@@ -83,7 +87,7 @@ class FuzzReport:
 # -- pool worker ----------------------------------------------------------------
 
 _SeedJob = Tuple[int, Tuple[str, ...], Optional[int], str]
-_SeedOutcome = Tuple[int, str, List[Tuple[str, bool, str]]]
+_SeedOutcome = Tuple[int, str, List[Tuple[str, bool, str, bool]]]
 
 
 def _run_seed_job(job: _SeedJob) -> _SeedOutcome:
@@ -92,7 +96,8 @@ def _run_seed_job(job: _SeedJob) -> _SeedOutcome:
     spec = SynthSpec.sample(seed)
     results = run_oracles(spec, oracles=oracle_names, budget=budget,
                           input_name=input_name)
-    return seed, spec.name, [(r.oracle, r.ok, r.detail) for r in results]
+    return seed, spec.name, [(r.oracle, r.ok, r.detail, r.skipped)
+                             for r in results]
 
 
 def _fan_out(jobs: List[_SeedJob], workers: int) -> List[_SeedOutcome]:
@@ -191,7 +196,12 @@ def run_fuzz(seeds: int, *, base_seed: int = 0,
 
     report = FuzzReport(base_seed=base_seed, seeds=seeds, oracles=names)
     for seed, spec_name, results in outcomes:
-        failed = [(oracle, detail) for oracle, ok, detail in results if not ok]
+        for oracle, _, detail, skipped in results:
+            if skipped:
+                count, reason = report.skipped.get(oracle, (0, detail))
+                report.skipped[oracle] = (count + 1, reason)
+        failed = [(oracle, detail)
+                  for oracle, ok, detail, _ in results if not ok]
         if not failed:
             continue
         oracle, detail = failed[0]

@@ -1,10 +1,10 @@
-"""The six differential oracles run against each generated program.
+"""The seven differential oracles run against each generated program.
 
 Every oracle is a named pure function ``(FuzzContext) -> OracleResult``;
 :data:`ORACLES` is the pluggable registry the harness, the CLI and the
 corpus replayer all draw from.  A :class:`FuzzContext` lazily computes and
 memoizes the expensive intermediates (program, baseline functional run,
-selection, rewritten run), so running all six oracles on one seed costs a
+selection, rewritten run), so running all seven oracles on one seed costs a
 single trip through the pipeline.
 
 The oracle matrix:
@@ -51,6 +51,14 @@ The oracle matrix:
     of deliberately skewed trace lengths — plus the campaign's own baseline
     and mini-graph traces — through one ``from_lanes`` call and checks each
     lane against its own scalar reference.
+``kernel``
+    The compiled timing kernel (``uarch/_kernel.c``) must match the Python
+    kernel lane for lane: equal ``PipelineStats``, or the same error type
+    and message, over the baseline trace and the ``int``/``int-mem``
+    mini-graph traces on the baseline machine, each policy's machine and
+    sampled geometries (validation-rejected shapes included).  A lane the
+    C kernel declines fails.  Reported *skipped* when no C kernel can be
+    built.
 """
 
 from __future__ import annotations
@@ -77,6 +85,8 @@ class OracleResult:
     oracle: str
     ok: bool
     detail: str = ""
+    #: The oracle could not run here (``ok`` stays true; ``detail`` says why).
+    skipped: bool = False
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.ok
@@ -513,6 +523,141 @@ def oracle_batch(ctx: FuzzContext) -> OracleResult:
     return OracleResult("batch", True)
 
 
+# -- oracle 7: compiled kernel == Python kernel, lane for lane ------------------
+
+#: Sampled geometries per seed for the kernel oracle (on top of the
+#: baseline machine and each policy's own machine).
+_KERNEL_SAMPLED_LANES = 3
+
+
+def _unvalidated_config(geometry: Dict[str, Any]) -> MachineConfig:
+    """A :class:`MachineConfig` built *without* construction validation.
+
+    The kernel oracle feeds both kernels every sampled geometry, including
+    the shapes validation rejects (non-power-of-two predictors, BTBs that
+    do not divide into ways, off-shape data caches): both kernels must then
+    raise the same error, or agree on the statistics.
+    """
+    import dataclasses
+
+    from ..uarch.config import CacheConfig
+
+    values = {field.name: field.default
+              for field in dataclasses.fields(MachineConfig)}
+    values.update(geometry)
+    shape = values["dcache"]
+    if isinstance(shape, tuple):
+        cache = object.__new__(CacheConfig)
+        for name, value in zip(("size_bytes", "associativity",
+                                "line_bytes", "hit_latency"), shape):
+            object.__setattr__(cache, name, value)
+        values["dcache"] = cache
+    config = object.__new__(MachineConfig)
+    for name, value in values.items():
+        object.__setattr__(config, name, value)
+    return config
+
+
+def _lane_outcome(run: Callable[..., Any], *args: Any):
+    """A kernel lane's stats, or its ``(type, message)`` error."""
+    try:
+        return run(*args)
+    except Exception as error:  # noqa: BLE001 - any error must match too
+        return (type(error).__name__, str(error))
+
+
+def _integer_pipeline(ctx: FuzzContext):
+    """``(rewritten program, trace, MGT)`` of ctx's program under the
+    ``int`` policy, or ``None`` when it selects nothing."""
+    from ..minigraph.policies import INTEGER_POLICY
+
+    selection = select_minigraphs(ctx.program, ctx.baseline.profile,
+                                  policy=INTEGER_POLICY)
+    if not selection.selected:
+        return None
+    mgt = MiniGraphTable.from_selection(selection)
+    rewritten = rewrite_program(ctx.program,
+                                selection.rewrite_sites()).program
+    run = run_program(rewritten, mgt=mgt, max_instructions=ctx.budget,
+                      input_name=ctx.input_name)
+    return rewritten, run.trace, mgt
+
+
+def oracle_kernel(ctx: FuzzContext) -> OracleResult:
+    """The compiled timing kernel against the Python kernel, per lane.
+
+    Traces: ctx's baseline trace plus its mini-graph traces under the
+    ``int`` and ``int-mem`` policies.  Machines: the baseline, each
+    policy's own machine, and geometries from :func:`sample_geometry`
+    built without validation.  Every lane that batch admission lets
+    through must give equal :class:`~repro.uarch.stats.PipelineStats` or
+    the same error type and message.  Lanes run in the C kernel itself, so
+    a lane it declines (which ``batch._run_lane`` would quietly rerun in
+    Python) fails the oracle.  Without a C kernel the oracle is *skipped*,
+    not passed.
+    """
+    import dataclasses
+
+    from ..uarch.batch import _run_lane_c, _run_lane_python, trace_facts
+    from ..uarch.ckernel import active_kernel
+    from ..uarch.config import (
+        integer_memory_minigraph_config,
+        integer_minigraph_config,
+    )
+
+    kernel, info = active_kernel()
+    if kernel is None:
+        return OracleResult("kernel", True, f"no C kernel: {info.reason}",
+                            skipped=True)
+    rng = SplitMix64((ctx.spec.seed * 2 + 1) ^ 0x6B65726E656C5EED)
+    machines = [baseline_config()]
+    for _ in range(_KERNEL_SAMPLED_LANES):
+        geometry = sample_geometry(rng)
+        machines.append(_unvalidated_config(geometry))
+        # The same shape with its predictor and BTB made admissible and the
+        # sliding-window scheduler on, so most sampled geometries also
+        # produce statistics to compare, int-mem handles included.
+        geometry["sliding_window_scheduler"] = True
+        predictor, ways = geometry["predictor_entries"], \
+            geometry["btb_associativity"]
+        geometry["predictor_entries"] = 1 << (predictor.bit_length() - 1)
+        geometry["btb_entries"] = max(ways, geometry["btb_entries"]
+                                      - geometry["btb_entries"] % ways)
+        machines.append(_unvalidated_config(geometry))
+    traces = [("baseline", ctx.program, ctx.baseline.trace, None, [])]
+    integer = _integer_pipeline(ctx)
+    if integer is not None:
+        traces.append(("int", *integer, [integer_minigraph_config()]))
+    if ctx.selection.selected:          # DEFAULT_POLICY is int-mem
+        traces.append(("int-mem", ctx.rewritten, ctx.rewritten_run.trace,
+                       ctx.mgt, [integer_memory_minigraph_config()]))
+    for label, program, trace, mgt, own in traces:
+        facts = trace_facts(program, trace, mgt)
+        # Both kernels get the same watchdog, so any value tests parity; a
+        # tight one bounds the Python kernel's cost on lanes that deadlock
+        # (handle traces on machines that cannot issue handles).
+        watchdog = 40 * len(trace) + 4_000
+        for lane, config in enumerate(own + machines):
+            if facts.has_fp and config.fp_units == 0:
+                continue    # rejected at batch admission; never timed
+            expect = _lane_outcome(_run_lane_python, facts, config, watchdog)
+            got = _lane_outcome(_run_lane_c, kernel, facts, config, watchdog)
+            if got == expect:
+                continue
+            if got is None:
+                detail = "the C kernel declined the lane"
+            elif isinstance(got, tuple) or isinstance(expect, tuple):
+                detail = f"C {got!r} vs Python {expect!r}"
+            else:
+                detail = "C and Python counters differ in " + ", ".join(
+                    field.name for field in dataclasses.fields(expect)
+                    if getattr(got, field.name) != getattr(expect, field.name))
+            return OracleResult("kernel", False,
+                                f"{label}: lane {lane} ({config.name}): "
+                                f"{detail}")
+    return OracleResult("kernel", True)
+
+
 # -- registry -------------------------------------------------------------------
 
 ORACLES: Dict[str, Callable[[FuzzContext], OracleResult]] = {
@@ -522,17 +667,18 @@ ORACLES: Dict[str, Callable[[FuzzContext], OracleResult]] = {
     "codec": oracle_codec,
     "geometry": oracle_geometry,
     "batch": oracle_batch,
+    "kernel": oracle_kernel,
 }
 
 #: Canonical oracle order (cheap architectural checks before timing runs).
 ORACLE_NAMES: Tuple[str, ...] = ("rewrite", "selection", "codec", "timing",
-                                 "geometry", "batch")
+                                 "geometry", "batch", "kernel")
 
 
 def run_oracles(spec: SynthSpec, *, oracles: Optional[Sequence[str]] = None,
                 input_name: str = "reference",
                 budget: Optional[int] = None) -> List[OracleResult]:
-    """Run the requested oracles (default: all six) against one spec."""
+    """Run the requested oracles (default: all seven) against one spec."""
     names = tuple(oracles) if oracles is not None else ORACLE_NAMES
     unknown = [name for name in names if name not in ORACLES]
     if unknown:

@@ -53,11 +53,17 @@ stepped ones.
 Every lane's :class:`~repro.uarch.stats.PipelineStats` is bit-identical to
 ``simulate_program`` for the same machine (enforced by
 ``tests/test_batch_timing.py`` and the ``batch`` fuzz oracle).
+
+:func:`_run_lane` runs each lane in the compiled port of the per-lane
+kernel (:mod:`repro.uarch.ckernel`, ``_kernel.c``) when a C compiler is
+available, and in :func:`_run_lane_python` otherwise; the two agree on
+every counter and error (``tests/test_kernel.py``, the ``kernel`` oracle).
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
 from collections import deque
 from copy import copy
 from heapq import heappop, heappush
@@ -81,6 +87,7 @@ from ..sim.trace import (
     TF_TAKEN,
     Trace,
 )
+from .ckernel import CKernel, active_kernel
 from .config import CacheConfig, ConfigError, MachineConfig
 from .decode import (
     KIND_FP,
@@ -97,6 +104,9 @@ from .stats import PipelineStats
 #: (a few MB at grid budgets), so the partition bounds peak memory while
 #: still amortizing the shared trace facts over a full pass.
 DEFAULT_MAX_LANES = 8
+
+#: Lanes this process has run in each kernel (the ``--stats`` kernel line).
+LANES_RUN: Dict[str, int] = {"c": 0, "python": 0}
 
 
 class TraceFacts:
@@ -117,6 +127,8 @@ class TraceFacts:
         "addr",
         # Trace-content summary flags driving lane-compatibility keying.
         "has_fp", "has_control", "has_load", "has_store", "has_handles",
+        # Compiled-kernel inputs (repro.uarch.ckernel), built on first use.
+        "kernel_table",
         "_line_cols", "__weakref__",
     )
 
@@ -141,28 +153,32 @@ class TraceFacts:
         self.flags = columns.flags
         self.ea = columns.effective_address
 
-        self.kind = [op.kind for op in feed]
-        self.latency = [op.latency for op in feed]
-        src0: List[int] = []
-        src1: List[int] = []
+        # Decode columns are compact typed arrays: the Python kernel indexes
+        # them and the C kernel reads their buffers in place.
+        self.kind = array("b", [op.kind for op in feed])
+        self.latency = array("i", [op.latency for op in feed])
+        src0 = array("i")
+        src1 = array("i")
         for op in feed:
             s0, s1 = op.renamed_sources
             src0.append(-1 if s0 is None else s0)
             src1.append(-1 if s1 is None else s1)
         self.src0 = src0
         self.src1 = src1
-        self.dest = [-1 if op.dest is None else op.dest for op in feed]
-        self.needs_dest = bytearray(
-            1 if op.needs_destination else 0 for op in feed)
-        self.is_cond = bytearray(
-            1 if op.is_conditional_branch else 0 for op in feed)
-        self.is_handle = bytearray(
-            1 if op.mgt_entry is not None else 0 for op in feed)
+        self.dest = array("i", [-1 if op.dest is None else op.dest
+                                for op in feed])
+        self.needs_dest = array("B", [1 if op.needs_destination else 0
+                                      for op in feed])
+        self.is_cond = array("B", [1 if op.is_conditional_branch else 0
+                                   for op in feed])
+        self.is_handle = array("B", [1 if op.mgt_entry is not None else 0
+                                     for op in feed])
 
         if compressed:
             layout = FetchLayout(program, compressed=True)
             address_for_index = layout.address_for_index
-            self.addr = [address_for_index(i) for i in columns.index]
+            self.addr = array("Q", [address_for_index(i)
+                                    for i in columns.index])
         else:
             self.addr = columns.pc
 
@@ -175,6 +191,7 @@ class TraceFacts:
         kinds = self.kind
         self.has_fp = KIND_FP in kinds
         self.has_handles = KIND_HANDLE in kinds
+        self.kernel_table = None
         self._line_cols: Dict[int, List[int]] = {}
 
     def line_col(self, line_bytes: int) -> List[int]:
@@ -411,8 +428,50 @@ def simulate_many(program: Program, trace: Trace,
     return results  # type: ignore[return-value]
 
 
-def _run_lane(facts: TraceFacts, config: MachineConfig,
-              max_cycles: int) -> PipelineStats:
+def _run_lane(facts: TraceFacts, config: MachineConfig, max_cycles: int,
+              kernel: Optional[CKernel] = None) -> PipelineStats:
+    """One machine over the shared trace facts, in the process's kernel.
+
+    The compiled kernel (``kernel``, default the process's
+    :func:`~repro.uarch.ckernel.active_kernel`) runs the lane when it is
+    available; otherwise, and for any lane outside what the C port mirrors
+    exactly, :func:`_run_lane_python` does.  Both produce the same
+    statistics and raise the same errors; each runs the geometry
+    ``ValueError`` checks (:func:`_check_geometry`) before simulating.
+    """
+    if kernel is None:
+        kernel, _ = active_kernel()
+    if kernel is not None:
+        stats = _run_lane_c(kernel, facts, config, max_cycles)
+        if stats is not None:
+            LANES_RUN["c"] += 1
+            return stats
+    LANES_RUN["python"] += 1
+    return _run_lane_python(facts, config, max_cycles)
+
+
+def _run_lane_c(kernel: CKernel, facts: TraceFacts, config: MachineConfig,
+                max_cycles: int) -> Optional[PipelineStats]:
+    """One lane in the C kernel only, never the Python fallback: its
+    statistics, its error, or ``None`` when the kernel declines the lane."""
+    _check_geometry(config)
+    return kernel.run_lane(facts, config, max_cycles)
+
+
+def _check_geometry(config: MachineConfig) -> None:
+    """Geometry errors both kernels raise before simulating a lane
+    (``MachineConfig`` validation rejects these shapes at construction)."""
+    predictor_entries = config.predictor_entries
+    if predictor_entries <= 0 or predictor_entries & (predictor_entries - 1):
+        raise ValueError("predictor entries must be a positive power of two")
+    if config.btb_entries % config.btb_associativity:
+        raise ValueError("BTB entries must be a multiple of the associativity")
+    if config.store_set_entries <= 0:
+        raise ValueError("store-set table needs at least one entry")
+
+
+def _run_lane_python(facts: TraceFacts, config: MachineConfig,
+                     max_cycles: int) -> PipelineStats:
     """The fused per-lane kernel: one machine over the shared trace facts.
 
     This is the scalar pipeline's stage sequence (retire → complete → issue
@@ -440,6 +499,7 @@ def _run_lane(facts: TraceFacts, config: MachineConfig,
     line_col = facts.line_col(config.icache.line_bytes)
     feed = facts.feed
     total = facts.total
+    _check_geometry(config)
 
     # -- per-lane models, inlined as local state (cache/predictor state is
     # timing-dependent, so none of it can be shared across lanes; see the
@@ -448,8 +508,6 @@ def _run_lane(facts: TraceFacts, config: MachineConfig,
     #
     # Hybrid direction predictor (bimodal + gshare + chooser) and BTB.
     predictor_entries = config.predictor_entries
-    if predictor_entries <= 0 or predictor_entries & (predictor_entries - 1):
-        raise ValueError("predictor entries must be a positive power of two")
     pred_mask = predictor_entries - 1
     history_mask = (1 << 12) - 1
     bimodal = [2] * predictor_entries
@@ -457,8 +515,6 @@ def _run_lane(facts: TraceFacts, config: MachineConfig,
     chooser = [2] * predictor_entries
     history = 0
     mispredictions = 0
-    if config.btb_entries % config.btb_associativity:
-        raise ValueError("BTB entries must be a multiple of the associativity")
     btb_sets = config.btb_entries // config.btb_associativity
     btb_assoc = config.btb_associativity
     btb_table: List[List[Tuple[int, int]]] = [[] for _ in range(btb_sets)]
@@ -482,8 +538,6 @@ def _run_lane(facts: TraceFacts, config: MachineConfig,
     memory_latency = config.memory_latency
     # Store-sets predictor: SSIT (pc index -> set id) + LFST (set -> seq).
     store_set_entries = config.store_set_entries
-    if store_set_entries <= 0:
-        raise ValueError("store-set table needs at least one entry")
     ssit: Dict[int, int] = {}
     lfst: Dict[int, int] = {}
     next_set_id = 0

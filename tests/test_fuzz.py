@@ -6,8 +6,8 @@ Four families of guarantees:
   is bit-identical across generator instantiations, and generation never
   touches Python's global ``random`` state;
 * **the corpus stands** — every committed ``tests/corpus/*.json`` entry
-  replays clean under all six oracles (starter seeds span the dial space;
-  repro entries pin fixed bugs);
+  replays clean under every oracle it names and under the ``kernel``
+  oracle (starter seeds span the dial space; repro entries pin fixed bugs);
 * **the oracles have teeth** — a deliberately injected selection-ordering
   bug is caught within the CI smoke budget of 64 seeds, and the failing
   seed shrinks to smaller dials that still fail;
@@ -164,6 +164,16 @@ class TestCorpus:
             results = replay_entry(entry)
             bad = [(r.oracle, r.detail) for r in results if not r.ok]
             assert not bad, f"{entry.name}: {bad}"
+
+    def test_corpus_replays_clean_under_kernel_oracle(self):
+        """The compiled-kernel oracle over every committed entry (it reports
+        *skipped*, still ok, where no C compiler is available)."""
+        for entry in load_corpus(CORPUS_DIR):
+            [result] = run_oracles(SynthSpec.from_name(entry.spec),
+                                   oracles=("kernel",),
+                                   input_name=entry.input,
+                                   budget=entry.budget)
+            assert result.ok, f"{entry.name}: {result.detail}"
 
     def test_write_and_load_round_trip(self, tmp_path):
         entry = CorpusEntry(name="rt", spec=synth(seed=77),
