@@ -57,7 +57,9 @@ from .workloads import load_benchmark
 
 # 1.4.0: machine-shape (name-free MachineSpec) cache keying + the grid
 # engine's row artifacts invalidate every pre-grid persisted cache entry.
-__version__ = "1.4.0"
+# 1.5.0: store keys hash flat tuples of component digests (policy, MGT
+# options, machine), so every key string changed.
+__version__ = "1.5.0"
 
 from .api import ArtifactStore, RunArtifacts, RunSpec, Session  # noqa: E402
 

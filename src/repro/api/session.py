@@ -41,7 +41,7 @@ from ..uarch.config import MachineConfig
 from ..uarch.pipeline import simulate_program
 from ..uarch.stats import PipelineStats
 from ..workloads import load_benchmark
-from .keys import canonical_key, content_hash
+from .keys import content_hash
 from .spec import RunSpec
 from .store import MISS, ArtifactStore, CacheStats
 
@@ -284,9 +284,19 @@ class Session:
         material = (self._version, stage) + spec.stage_material(stage) + extra
         return f"{stage}-{content_hash(material)}"
 
+    def _timing_key(self, spec: RunSpec, config: MachineConfig,
+                    minigraph: bool) -> str:
+        """Store key of one timing run: the spec's trace plus the machine."""
+        machine = config.resolve().machine_hash
+        if minigraph:
+            return self._key("time", spec, extra=(
+                "minigraph", machine, spec.compressed_layout))
+        return self._key("time_baseline", spec, extra=(machine,))
+
     def _stage(self, stage: str, spec: RunSpec, compute: Callable[[], Any],
-               extra: Tuple[Any, ...] = ()) -> Any:
-        key = self._key(stage, spec, extra)
+               key: Optional[str] = None) -> Any:
+        if key is None:
+            key = self._key(stage, spec)
         value = self._store.get(key)
         if value is not MISS:
             return value
@@ -374,7 +384,7 @@ class Session:
             return simulate_program(self.program(spec), self.baseline_trace(spec),
                                     config)
         return self._stage("time_baseline", spec, compute,
-                           extra=(config.resolve().key,))
+                           key=self._timing_key(spec, config, False))
 
     def minigraph_timing(self, spec: RunSpec,
                          machine: Optional[MachineConfig] = None) -> PipelineStats:
@@ -389,8 +399,7 @@ class Session:
                                     config, mgt=self.mgt(spec),
                                     compressed_layout=spec.compressed_layout)
         return self._stage("time", spec, compute,
-                           extra=("minigraph", config.resolve().key,
-                                  spec.compressed_layout))
+                           key=self._timing_key(spec, config, True))
 
     def timing(self, spec: RunSpec) -> PipelineStats:
         """Timing statistics of the spec itself (baseline or mini-graph)."""
@@ -462,18 +471,14 @@ class Session:
             if spec.policy is None:
                 configs.append(spec.resolved_machine)
             for config in configs:
-                key = self._key("time_baseline", spec,
-                                extra=(config.resolve().key,))
-                lanes.setdefault(key, (spec, config))
+                lanes.setdefault(self._timing_key(spec, config, False),
+                                 (spec, config))
             if spec.policy is not None:
                 config = spec.resolved_machine
                 trace_key = ("minigraph",) + spec.stage_material("trace") \
                     + (spec.compressed_layout,)
-                key = self._key("time", spec,
-                                extra=("minigraph", config.resolve().key,
-                                       spec.compressed_layout))
-                groups.setdefault(trace_key, {}) \
-                    .setdefault(key, (spec, config))
+                groups.setdefault(trace_key, {}).setdefault(
+                    self._timing_key(spec, config, True), (spec, config))
         # Cache-miss filter first, then resolve each surviving group's trace
         # once; upstream stages run (or hit the cache) exactly as the scalar
         # path would, and any front-end failure drops the group (deferred to

@@ -13,7 +13,8 @@ content-addressed rather than identity-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..minigraph.mgt import MgtBuildOptions
 from ..minigraph.policies import DEFAULT_POLICY, SelectionPolicy
@@ -24,7 +25,7 @@ from ..uarch.config import (
     integer_memory_minigraph_config,
     integer_minigraph_config,
 )
-from .keys import canonical_key, content_hash
+from .keys import component_digest, content_hash
 
 #: Stage names, in pipeline order.  ``assemble`` produces the program,
 #: ``profile`` the baseline functional run, ``select`` the mini-graph
@@ -126,18 +127,27 @@ class RunSpec:
             return self.benchmark
         return self.program.name  # type: ignore[union-attr]
 
+    def _memo(self, name: str, compute: Callable[[], Any]) -> Any:
+        """Derived value cached on the instance.  The spec is frozen, so it
+        can never go stale; :func:`dataclasses.replace` builds a fresh
+        instance and pickling drops the cache (:meth:`__getstate__`)."""
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = self.__dict__[name] = compute()
+            return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_")}
+
     @property
     def source_id(self) -> str:
         """Content-addressed identity of the program source."""
         if self.benchmark is not None:
             return self.benchmark
-        # Hashing walks the whole program; memoize (the spec is frozen, so
-        # the digest can never change).
-        cached = self.__dict__.get("_source_id")
-        if cached is None:
-            cached = "adhoc-" + content_hash(self.program)
-            object.__setattr__(self, "_source_id", cached)
-        return cached
+        return self._memo("_source_id",
+                          lambda: "adhoc-" + content_hash(self.program))
 
     @property
     def resolved_mgt_options(self) -> MgtBuildOptions:
@@ -149,16 +159,26 @@ class RunSpec:
         if self.machine is not None:
             return self.machine
         if self.policy is None:
-            return baseline_config()
-        collapsing = self.resolved_mgt_options.collapsing
-        if self.policy.allow_memory:
-            return integer_memory_minigraph_config(collapsing=collapsing)
-        return integer_minigraph_config(collapsing=collapsing)
+            return _paper_machine(None, False)
+        return _paper_machine(self.policy.allow_memory,
+                              self.resolved_mgt_options.collapsing)
 
     @property
     def resolved_baseline_machine(self) -> MachineConfig:
         return self.baseline_machine if self.baseline_machine is not None \
-            else baseline_config()
+            else _paper_machine(None, False)
+
+    @property
+    def policy_digest(self) -> Optional[str]:
+        """Digest of the selection policy (``None`` for baseline-only)."""
+        return self._memo("_policy_digest", lambda: None if self.policy is None
+                          else component_digest(self.policy))
+
+    @property
+    def mgt_digest(self) -> str:
+        """Digest of the resolved MGT build options."""
+        return self._memo("_mgt_digest",
+                          lambda: component_digest(self.resolved_mgt_options))
 
     # -- keying --------------------------------------------------------------------
 
@@ -169,43 +189,30 @@ class RunSpec:
         source = (self.source_id, self.input_name)
         if stage == "assemble":
             return source
-        if stage == "profile":
-            return source + (self.budget,)
-        if stage in ("select", "rewrite"):
-            return source + (self.budget, canonical_key(self.policy))
-        if stage == "build_mgt":
-            return source + (self.budget, canonical_key(self.policy),
-                             canonical_key(self.resolved_mgt_options))
-        if stage in ("trace", "time"):
-            return source + (self.budget, canonical_key(self.policy),
-                             canonical_key(self.resolved_mgt_options))
-        if stage == "time_baseline":
+        if stage in ("profile", "time_baseline"):
             # Baseline timing simulates the *original* program and trace; it
             # depends on neither the policy nor the MGT options, so every
             # policy variant shares one artifact.
             return source + (self.budget,)
+        if stage in ("select", "rewrite"):
+            return source + (self.budget, self.policy_digest)
+        if stage in ("build_mgt", "trace", "time"):
+            return source + (self.budget, self.policy_digest, self.mgt_digest)
         raise SpecError(f"unknown stage {stage!r}; expected one of {STAGES}")
 
     def _identity(self) -> Tuple[Any, ...]:
-        """The fully-normalized spec as a hashable tuple.
+        """The fully-normalized spec as a flat tuple of scalars and digests.
 
-        Machines enter through their canonical :class:`MachineSpec` keys
+        Machines enter through their :attr:`MachineSpec.machine_hash`
         (name-free, derived fields normalized), so two specs differing only
-        in a machine's display name are the same run.  Memoized: the spec is
-        frozen, so the identity can never change.
+        in a machine's display name are the same run.
         """
-        cached = self.__dict__.get("_identity_key")
-        if cached is None:
-            cached = (
-                self.source_id, self.input_name, self.budget,
-                canonical_key(self.policy),
-                self.resolved_machine.resolve().key,
-                self.resolved_baseline_machine.resolve().key,
-                canonical_key(self.resolved_mgt_options),
-                self.compressed_layout,
-            )
-            object.__setattr__(self, "_identity_key", cached)
-        return cached
+        return self._memo("_identity_key", lambda: (
+            self.source_id, self.input_name, self.budget, self.policy_digest,
+            self.resolved_machine.resolve().machine_hash,
+            self.resolved_baseline_machine.resolve().machine_hash,
+            self.mgt_digest, self.compressed_layout,
+        ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunSpec):
@@ -218,7 +225,7 @@ class RunSpec:
     @property
     def spec_hash(self) -> str:
         """Stable content hash of the fully-normalized spec."""
-        return content_hash(self._identity())
+        return self._memo("_spec_hash", lambda: content_hash(self._identity()))
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly summary used by reports and the CLI."""
@@ -241,3 +248,14 @@ class RunSpec:
             "compressed_layout": self.compressed_layout,
             "spec_hash": self.spec_hash,
         }
+
+
+@lru_cache(maxsize=None)
+def _paper_machine(allow_memory: Optional[bool], collapsing: bool) -> MachineConfig:
+    """The paper's default machine for a policy kind, built once per process
+    (``allow_memory`` is ``None`` for baseline-only runs)."""
+    if allow_memory is None:
+        return baseline_config()
+    if allow_memory:
+        return integer_memory_minigraph_config(collapsing=collapsing)
+    return integer_minigraph_config(collapsing=collapsing)

@@ -70,23 +70,28 @@ def figure6_grid(*, benchmarks: Sequence[str], budget: int,
     axes = (Axis("benchmark", tuple(benchmarks)),
             Axis("config", tuple(configs)))
 
-    def build(point) -> RunSpec:
-        config_name = point["config"]
+    def resolve(config_name: str):
         collapsing = config_name.endswith("+collapse")
-        if config_name.startswith("int-mem"):
-            policy = DEFAULT_POLICY
-            machine = integer_memory_minigraph_config(collapsing=collapsing)
-        else:
-            policy = INTEGER_POLICY
-            machine = integer_minigraph_config(collapsing=collapsing)
+        memory = config_name.startswith("int-mem")
+        machine = (integer_memory_minigraph_config if memory
+                   else integer_minigraph_config)(collapsing=collapsing)
+        return (DEFAULT_POLICY if memory else INTEGER_POLICY, machine,
+                MgtBuildOptions(collapsing=collapsing))
+
+    # Each config's machine is built once per grid, not once per cell.
+    resolved = {name: resolve(name) for name in configs}
+    reference = baseline_config()
+
+    def build(point) -> RunSpec:
+        policy, machine, options = resolved[point["config"]]
         return RunSpec(
             benchmark=point["benchmark"],
             input_name=input_name,
             budget=budget,
             policy=policy,
             machine=machine,
-            baseline_machine=baseline_config(),
-            mgt_options=MgtBuildOptions(collapsing=collapsing),
+            baseline_machine=reference,
+            mgt_options=options,
         )
 
     return GridSpec(name="fig6", axes=axes, build=build,

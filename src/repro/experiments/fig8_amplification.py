@@ -93,16 +93,21 @@ def figure8_grid(*, benchmarks: Sequence[str], budget: int,
             Axis("variant", variant_labels),
             Axis("mode", tuple(modes)))
 
+    # One machine object per (variant, mode) for the whole grid, so every
+    # cell shares its machine's memoized digest.
+    machines = {variant: _mode_machines(_variant_base(variant))
+                for variant in variant_labels}
+    reference = baseline_config()
+
     def build(point) -> RunSpec:
-        policy, machine = _mode_machines(
-            _variant_base(point["variant"]))[point["mode"]]
+        policy, machine = machines[point["variant"]][point["mode"]]
         return RunSpec(
             benchmark=point["benchmark"],
             input_name=input_name,
             budget=budget,
             policy=policy,
             machine=machine,
-            baseline_machine=baseline_config(),
+            baseline_machine=reference,
         )
 
     return GridSpec(name="fig8", axes=axes, build=build,

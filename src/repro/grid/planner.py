@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..api.keys import canonical_key
 from ..api.spec import RunSpec
 from .spec import GridCell, GridError, GridSpec
 
@@ -35,7 +34,7 @@ from .spec import GridCell, GridError, GridSpec
 class CompileGroup:
     """Cells sharing one front-end compile: same program *and* policy."""
 
-    policy_key: Any                  # canonical policy key; None = baseline
+    policy_key: Optional[str]        # RunSpec.policy_digest; None = baseline
     cells: List[GridCell] = field(default_factory=list)
 
 
@@ -276,13 +275,13 @@ def timing_batches(cells_or_specs: Iterable[Any],
         if spec.policy is None:
             configs.append(spec.resolved_machine)
         for config in configs:
-            lanes.setdefault(config.resolve().key, (spec, config))
+            lanes.setdefault(config.resolve().machine_hash, (spec, config))
         if spec.policy is not None:
             config = spec.resolved_machine
             mg_key = ("minigraph",) + spec.stage_material("trace") \
                 + (spec.compressed_layout,)
             groups.setdefault(mg_key, {}) \
-                .setdefault(config.resolve().key, (spec, config))
+                .setdefault(config.resolve().machine_hash, (spec, config))
     ordered: List[LaneGroup] = []
     for trace_key, lane_map in groups.items():
         lanes = list(lane_map.values())
@@ -324,7 +323,7 @@ def plan_cells(cells: Iterable[GridCell],
         stage = stages.get(stage_key)
         if stage is None:
             stage = stages[stage_key] = PlanStage(key=stage_key)
-        policy_key = None if spec.policy is None else canonical_key(spec.policy)
+        policy_key = spec.policy_digest
         group_key = (stage_key, policy_key)
         group = groups.get(group_key)
         if group is None:

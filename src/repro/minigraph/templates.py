@@ -13,8 +13,9 @@ operands as equivalent").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..isa.opcodes import OpClass, opcode
 
@@ -166,6 +167,9 @@ class MiniGraphTemplate:
     def __post_init__(self) -> None:
         self.validate()
 
+    def __getstate__(self) -> Dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
@@ -204,11 +208,13 @@ class MiniGraphTemplate:
         """Number of constituent instructions."""
         return len(self.instructions)
 
-    @property
+    # The structural flags are read on every handle execution; cache them
+    # per instance (``__getstate__`` keeps them out of pickles).
+    @cached_property
     def has_load(self) -> bool:
         return any(t.is_load for t in self.instructions)
 
-    @property
+    @cached_property
     def has_store(self) -> bool:
         return any(t.is_store for t in self.instructions)
 
@@ -216,7 +222,7 @@ class MiniGraphTemplate:
     def has_memory(self) -> bool:
         return self.has_load or self.has_store
 
-    @property
+    @cached_property
     def has_branch(self) -> bool:
         return any(t.is_control for t in self.instructions)
 

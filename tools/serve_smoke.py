@@ -10,7 +10,10 @@ guarantees:
   grid (only the ``resumed`` bookkeeping flag may differ);
 * **warm reuse** — because both jobs dedup through the shared store, the
   second client's cells are (almost) all served from cached artifacts:
-  its job-level cache hit rate must be at least 90%.
+  its job-level cache hit rate must be at least 90%;
+* **store-key interop** — a local ``Session`` over the daemon's store
+  resumes every row the daemon wrote (``run_grid(resume=True)``), and the
+  resumed rows are bit-identical to the daemon's.
 
 Exit code 0 on success; assertion failure otherwise.  Runs in seconds —
 this is the ``serve-smoke`` job in CI.
@@ -97,9 +100,22 @@ def main() -> int:
                 f"second client's cache hit rate {hit_rate * 100:.1f}% "
                 f"< {MIN_SECOND_CLIENT_HIT_RATE * 100:.0f}%")
 
+            # A local session resumes the daemon's rows from its store.
+            with Session(cache_dir=tmp_path / "serve-cache") as session:
+                resumed = sorted((row.as_dict()
+                                  for row in session.run_grid(grid, resume=True)),
+                                 key=lambda row: row["index"])
+            assert all(row["resumed"] for row in resumed), \
+                "local --resume recomputed rows the daemon had stored"
+            daemon_rows = sorted((_strip(row) for row in results["first"][0]),
+                                 key=lambda row: row["index"])
+            assert [_strip(row) for row in resumed] == daemon_rows, \
+                "locally resumed rows differ from the daemon's"
+
             print(f"serve smoke: {cells} cells x 2 concurrent clients, "
                   f"rows bit-identical to serial run_grid, second client "
-                  f"{hit_rate * 100:.1f}% cache hits")
+                  f"{hit_rate * 100:.1f}% cache hits, local resume "
+                  f"{len(resumed)}/{cells} rows from the daemon store")
         finally:
             server.stop(drain=False)
     return 0
