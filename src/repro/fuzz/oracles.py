@@ -39,18 +39,17 @@ The oracle matrix:
     deadlocking.  Any other exception — or hitting the cycle watchdog —
     is a finding.
 ``batch``
-    The batched multi-machine kernel
-    (:class:`~repro.uarch.batch.BatchedTimingSimulator`) must be
-    lane-for-lane equivalent to scalar ``simulate_program``: identical
-    :class:`~repro.uarch.stats.PipelineStats` for every admissible lane,
-    and per-lane errors (admission ``ConfigError``, scheduler
-    ``TimingError``) matching the scalar exception by type and message
-    without poisoning sibling lanes.  Lanes mix the baseline machine with
-    seeded random geometries, so divergent widths/units/cache shapes ride
-    one pass.  A final cross-trace pass batches 2–4 sibling synth programs
-    of deliberately skewed trace lengths — plus the campaign's own baseline
-    and mini-graph traces — through one ``from_lanes`` call and checks each
-    lane against its own scalar reference.
+    The fused timing kernel must be lane-for-lane equivalent to the
+    reference :class:`~repro.uarch.pipeline.TimingSimulator`, through each
+    of its entry points: ``simulate_program`` per lane, one multi-machine
+    :class:`~repro.uarch.batch.BatchedTimingSimulator` and one two-trace
+    ``from_lanes`` list.  Every admissible lane gives identical
+    :class:`~repro.uarch.stats.PipelineStats`, and every error (admission
+    ``ConfigError``, scheduler ``TimingError``) matches the reference's by
+    type and message without costing sibling lanes their statistics.
+    Lanes mix the baseline machine with seeded random geometries over the
+    baseline and mini-graph traces; the ``from_lanes`` list adds a sibling
+    synth program of much shorter trace.
 ``kernel``
     The compiled timing kernel (``uarch/_kernel.c``) must match the Python
     kernel lane for lane: equal ``PipelineStats``, or the same error type
@@ -74,7 +73,11 @@ from ..program import rewrite_program
 from ..sim import run_program
 from ..sim.trace import decode_trace, encode_trace
 from ..uarch.config import ConfigError, MachineConfig, baseline_config
-from ..uarch.pipeline import TimingError, TimingSimulator
+from ..uarch.pipeline import (
+    TimingError,
+    TimingSimulator,
+    simulate_program,
+)
 from .generator import SYNTH_BUDGET, SplitMix64, SynthSpec, generate_program
 
 
@@ -380,17 +383,17 @@ def _geometry_summary(geometry: Dict[str, Any]) -> str:
     return ", ".join(parts)
 
 
-# -- oracle 6: batched kernel == scalar timing, lane for lane -------------------
+# -- oracle 6: fused kernel == reference timing, lane for lane -----------------
 
-#: Random geometries mixed into each batched pass alongside the baseline
-#: machine — divergent lanes (widths, unit mixes, cache/predictor shapes,
-#: inadmissible fp_units=0 configs) are where batching can go wrong.
+#: Random geometries timed alongside the baseline machine — divergent lanes
+#: (widths, unit mixes, cache/predictor shapes, inadmissible fp_units=0
+#: configs) are where the fused kernel can go wrong.
 _BATCH_SAMPLED_LANES = 3
 
 
-def _scalar_outcome(ctx: FuzzContext, program, trace, mgt,
-                    config: MachineConfig, watchdog: int):
-    """One scalar reference lane: its stats, or its (type, message) error."""
+def _reference_outcome(program, trace, mgt, config: MachineConfig,
+                       watchdog: int):
+    """One reference lane: its stats, or its (type, message) error."""
     try:
         simulator = TimingSimulator(program, trace, config, mgt=mgt)
         return simulator.run(max_cycles=watchdog)
@@ -400,7 +403,7 @@ def _scalar_outcome(ctx: FuzzContext, program, trace, mgt,
 
 def _compare_lane(label: str, lane: int, expect, error, result
                   ) -> Optional[str]:
-    """One lane's batched outcome against its scalar reference."""
+    """One lane's fused outcome against its reference outcome."""
     import dataclasses
 
     if isinstance(expect, tuple):
@@ -410,83 +413,81 @@ def _compare_lane(label: str, lane: int, expect, error, result
         got = (type(error).__name__, str(error))
         if got != expect:
             return (f"{label}: lane {lane} error mismatch: "
-                    f"batched {got} vs scalar {expect}")
+                    f"fused {got} vs reference {expect}")
     elif error is not None:
         return (f"{label}: lane {lane} raised "
-                f"{type(error).__name__}: {error} but the scalar run "
+                f"{type(error).__name__}: {error} but the reference run "
                 f"completed")
     elif dataclasses.asdict(result) != dataclasses.asdict(expect):
         diffs = [field.name for field in dataclasses.fields(expect)
                  if getattr(result, field.name)
                  != getattr(expect, field.name)]
-        return (f"{label}: lane {lane} stats diverged from scalar "
-                f"simulate_program in {', '.join(diffs)}")
+        return (f"{label}: lane {lane} stats diverged from the reference "
+                f"TimingSimulator in {', '.join(diffs)}")
+    return None
+
+
+def _compare_lanes(label: str, expected, errors: Dict[int, Exception],
+                   results) -> Optional[str]:
+    for lane, expect in enumerate(expected):
+        problem = _compare_lane(label, lane, expect, errors.get(lane),
+                                results[lane])
+        if problem is not None:
+            return problem
     return None
 
 
 def _batch_check(ctx: FuzzContext, program, trace, mgt, label: str,
                  configs: Sequence[MachineConfig]) -> Optional[str]:
+    """``simulate_program`` per lane, then one multi-machine
+    ``BatchedTimingSimulator``, each against the reference."""
     from ..uarch.batch import BatchedTimingSimulator
 
     watchdog = ctx.watchdog_cycles(len(trace))
-    expected = [_scalar_outcome(ctx, program, trace, mgt, config, watchdog)
+    expected = [_reference_outcome(program, trace, mgt, config, watchdog)
                 for config in configs]
-    batch = BatchedTimingSimulator(program, trace, configs, mgt=mgt)
-    results = batch.run(max_cycles=watchdog)
-    for lane, expect in enumerate(expected):
-        problem = _compare_lane(label, lane, expect,
-                                batch.lane_errors.get(lane), results[lane])
-        if problem is not None:
-            return problem
-    return None
+    errors: Dict[int, Exception] = {}
+    results = []
+    for lane, config in enumerate(configs):
+        try:
+            results.append(simulate_program(program, trace, config, mgt=mgt,
+                                            max_cycles=watchdog))
+        except (ConfigError, TimingError) as error:
+            errors[lane] = error
+            results.append(None)
+    problem = _compare_lanes(f"{label} simulate_program", expected, errors,
+                             results)
+    if problem is None:
+        batch = BatchedTimingSimulator(program, trace, configs, mgt=mgt)
+        results = batch.run(max_cycles=watchdog)
+        problem = _compare_lanes(label, expected, batch.lane_errors, results)
+    return problem
 
 
-def _mixed_batch_check(ctx: FuzzContext, rng: SplitMix64,
+def _mixed_batch_check(ctx: FuzzContext,
                        configs: Sequence[MachineConfig]) -> Optional[str]:
-    """Cross-trace lane groups: one ``from_lanes`` pass over several traces.
-
-    Each campaign draws 2–4 sibling synth programs whose traces run under
-    sharply shrinking budgets — deliberately skewed lengths, so the pass
-    must retire short lanes early while long ones keep going — plus ctx's
-    own baseline trace and (when the selection is non-empty) its
-    handle-bearing mini-graph trace.  Every trace fields at least one lane
-    and the machine set is spread round-robin across the traces; each
-    lane's stats or error must match its scalar reference exactly.
-    """
+    """One ``from_lanes`` list over two traces: ctx's baseline trace and a
+    sibling synth program's much shorter one, the machines alternating
+    between them; each lane must match its own reference outcome."""
     from ..uarch.batch import BatchedTimingSimulator, TimingLane
 
-    members = [(ctx.program, ctx.baseline.trace, None)]
-    for sibling in range(1, 2 + rng.below(3)):        # 2-4 synth traces
-        spec = SynthSpec.sample((ctx.spec.seed + sibling) ^ 0x5EED5)
-        program = generate_program(spec, ctx.input_name)
-        run = run_program(program,
-                          max_instructions=max(64,
-                                               ctx.budget >> (3 * sibling)),
-                          input_name=ctx.input_name)
-        members.append((program, run.trace, None))
-    if ctx.selection.selected:
-        members.append((ctx.rewritten, ctx.rewritten_run.trace, ctx.mgt))
-    lanes = [(program, trace, mgt, configs[index % len(configs)])
-             for index, (program, trace, mgt) in enumerate(members)]
-    for index, config in enumerate(configs):
-        program, trace, mgt = members[index % len(members)]
-        lanes.append((program, trace, mgt, config))
-    watchdog = ctx.watchdog_cycles(max(len(trace)
-                                       for _, trace, _, _ in lanes))
-    expected = [_scalar_outcome(ctx, program, trace, mgt, config, watchdog)
-                for program, trace, mgt, config in lanes]
+    spec = SynthSpec.sample((ctx.spec.seed + 1) ^ 0x5EED5)
+    sibling = generate_program(spec, ctx.input_name)
+    sibling_run = run_program(sibling,
+                              max_instructions=max(64, ctx.budget >> 3),
+                              input_name=ctx.input_name)
+    members = [(ctx.program, ctx.baseline.trace),
+               (sibling, sibling_run.trace)]
+    lanes = [members[index % 2] + (config,)
+             for index, config in enumerate(list(configs) * 2)]
+    watchdog = ctx.watchdog_cycles(max(len(trace) for _, trace in members))
+    expected = [_reference_outcome(program, trace, None, config, watchdog)
+                for program, trace, config in lanes]
     batch = BatchedTimingSimulator.from_lanes(
-        [TimingLane(program, trace, config, mgt=mgt)
-         for program, trace, mgt, config in lanes])
-    results = batch.run(max_cycles=watchdog)
-    if not batch.cross_trace:
-        return "mixed: pass failed to span multiple decoded traces"
-    for lane, expect in enumerate(expected):
-        problem = _compare_lane("mixed", lane, expect,
-                                batch.lane_errors.get(lane), results[lane])
-        if problem is not None:
-            return problem
-    return None
+        [TimingLane(program, trace, config)
+         for program, trace, config in lanes])
+    return _compare_lanes("mixed", expected, batch.lane_errors,
+                          batch.run(max_cycles=watchdog))
 
 
 def oracle_batch(ctx: FuzzContext) -> OracleResult:
@@ -517,7 +518,7 @@ def oracle_batch(ctx: FuzzContext) -> OracleResult:
         problem = _batch_check(ctx, ctx.rewritten, ctx.rewritten_run.trace,
                                ctx.mgt, "minigraph", [machine] + lanes)
     if problem is None:
-        problem = _mixed_batch_check(ctx, rng, lanes)
+        problem = _mixed_batch_check(ctx, lanes)
     if problem is not None:
         return OracleResult("batch", False, problem)
     return OracleResult("batch", True)

@@ -1,47 +1,32 @@
-"""Batched multi-machine timing kernel: one fused pass drives M lanes.
+"""The fused timing kernel: one machine configuration over one decoded trace.
 
-Grid campaigns time committed traces on many machine shapes — the planner
-already dedups the functional profile and the front-end compile, so the
-per-cell cost left is the scalar :class:`~repro.uarch.pipeline.
-TimingSimulator` interpreter loop, repeated once per machine even though the
-decode facts, the trace columns and the fetch addresses never change.
+Every timing run goes through this module.  A timing stage calls
+:func:`~repro.uarch.pipeline.simulate_program`, which runs
+:func:`time_lane`: the admission checks, then :func:`_run_lane`, which runs
+the lane in the compiled port of the kernel (:mod:`repro.uarch.ckernel`,
+``_kernel.c``) when a C compiler is available and in
+:func:`_run_lane_python` otherwise.  The two agree on every counter and
+error (``tests/test_kernel.py``, the ``kernel`` fuzz oracle).
 
-:class:`BatchedTimingSimulator` restructures that work as structure-of-arrays
-*lanes*.  A lane is one machine configuration over one decoded trace, and
-lanes of a pass need **not** share the trace: each lane carries a *trace
-cursor* — its interned :class:`TraceFacts` (trace identity, decoded-column
-views, length) plus its commit position while it runs — so a fig6/fig8-style
-pass can interleave a 40k-entry workload's machines with the leftover lanes
-of much smaller benchmarks instead of under-filling per-trace passes:
+The kernel is the object-model
+:class:`~repro.uarch.pipeline.TimingSimulator` restructured as flat arrays
+over shared trace columns:
 
 * everything derived from a (program, trace, MGT, layout) quadruple is
   computed once into a shared, immutable :class:`TraceFacts` — packed trace
   columns, decode columns (kind, latency, renamed sources, destination),
-  fetch addresses and the instruction-cache line column — and broadcast to
-  every lane over that trace, whichever passes those lanes ride in;
+  fetch addresses and the instruction-cache line column — and reused by
+  every machine timed over that trace;
 * per-machine state lives in flat per-sequence arrays (complete cycles,
   pending-source counts, physical-register maps, LSQ flags) rather than
   per-entry ``DynInst`` objects: the replayed trace has no wrong path, so a
   dynamic entity's sequence number *is* its trace index and every "object"
-  becomes an array slot;
-* event scheduling is shared *structurally* (the same wakeup-bucket /
-  ready-heap / completion-bucket machinery runs in every lane over that
-  lane's columns) and diverges per lane only where configs differ — widths,
-  unit mixes, cache and predictor geometry.  Lanes whose trace cursor *and*
-  configuration are indistinguishable (:func:`lane_behavior_key` — e.g. two
-  machines differing only in ``fp_units`` on an integer-only trace) simulate
-  once and share the resulting statistics;
-* lanes are architecturally independent (nothing mutable is shared), so the
-  pass retires each lane from its active set the moment the lane commits its
-  last trace entry — a one-entry trace batched with a 40k-entry trace costs
-  one entry, never padding to the longest lane — and a retired lane's
-  per-sequence arrays are released before the next lane's are built, keeping
-  peak memory at one live lane plus the pass's shared trace facts.
+  becomes an array slot.
 
-The cache hierarchy is deliberately *not* shared across lanes even though
-fetch addresses are: the unified L2 sees both instruction and data misses in
-a timing-dependent interleaving, so instruction-cache behaviour is a
-per-lane function of the whole simulation, not of the trace.
+The cache hierarchy is deliberately *not* shared between machines even
+though fetch addresses are: the unified L2 sees both instruction and data
+misses in a timing-dependent interleaving, so instruction-cache behaviour
+is a per-machine function of the whole simulation, not of the trace.
 
 The kernel also skips provably idle cycle spans (no ready entities, no
 wakeup/completion event, retirement blocked, fetch and rename unable to
@@ -51,13 +36,10 @@ accounting is replicated exactly, so skipped spans are bit-identical to
 stepped ones.
 
 Every lane's :class:`~repro.uarch.stats.PipelineStats` is bit-identical to
-``simulate_program`` for the same machine (enforced by
-``tests/test_batch_timing.py`` and the ``batch`` fuzz oracle).
-
-:func:`_run_lane` runs each lane in the compiled port of the per-lane
-kernel (:mod:`repro.uarch.ckernel`, ``_kernel.c``) when a C compiler is
-available, and in :func:`_run_lane_python` otherwise; the two agree on
-every counter and error (``tests/test_kernel.py``, the ``kernel`` oracle).
+``TimingSimulator``, the reference model (enforced by the golden-stats
+tests, ``tests/test_batch_timing.py``, the ``batch`` fuzz oracle and
+``tools/check_kernel.py``).  :class:`BatchedTimingSimulator` times a list
+of lanes in order and records each lane's error instead of raising it.
 """
 
 from __future__ import annotations
@@ -65,7 +47,6 @@ from __future__ import annotations
 import weakref
 from array import array
 from collections import deque
-from copy import copy
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,29 +62,17 @@ from ..program.program import Program
 from ..sim.trace import (
     TF_CONTROL,
     TF_HAS_EA,
-    TF_LOAD,
     TF_MEMORY,
     TF_STORE,
     TF_TAKEN,
     Trace,
 )
 from .ckernel import CKernel, active_kernel
-from .config import CacheConfig, ConfigError, MachineConfig
-from .decode import (
-    KIND_FP,
-    KIND_HANDLE,
-    DecodeError,
-    decode_table,
-)
+from .config import ConfigError, MachineConfig
+from .decode import KIND_FP, DecodeError, decode_table
 from .dyninst import FOREVER, NEVER
 from .pipeline import FetchLayout, TimingError, fp_admission_error
 from .stats import PipelineStats
-
-#: Default lane-partition width: how many machines one batched pass holds.
-#: Each lane owns ~10 per-sequence arrays plus its cache/predictor models
-#: (a few MB at grid budgets), so the partition bounds peak memory while
-#: still amortizing the shared trace facts over a full pass.
-DEFAULT_MAX_LANES = 8
 
 #: Lanes this process has run in each kernel (the ``--stats`` kernel line).
 LANES_RUN: Dict[str, int] = {"c": 0, "python": 0}
@@ -113,20 +82,20 @@ class TraceFacts:
     """Shared, immutable per-(program, trace, MGT, layout) columns.
 
     One instance is interned per quadruple (weakly, keyed by the trace) and
-    broadcast to every lane of every batched pass over that trace.
+    reused by every machine timed over that trace.
     """
 
     __slots__ = (
-        "program", "trace", "feed", "compressed", "total",
+        "program", "feed", "total",
         # Packed trace columns (straight from Trace.columns()).
         "pc", "index", "size", "next_pc", "flags", "ea",
         # Decode columns gathered from the interned DecodedOp feed.
         "kind", "latency", "src0", "src1", "dest", "needs_dest",
         "is_cond", "is_handle",
-        # Fetch-address column (layout-resolved once for all lanes).
+        # Fetch-address column (layout-resolved once for all machines).
         "addr",
-        # Trace-content summary flags driving lane-compatibility keying.
-        "has_fp", "has_control", "has_load", "has_store", "has_handles",
+        # Whether the trace holds FP instructions (the fp_units admission).
+        "has_fp",
         # Compiled-kernel inputs (repro.uarch.ckernel), built on first use.
         "kernel_table",
         "_line_cols", "__weakref__",
@@ -135,8 +104,6 @@ class TraceFacts:
     def __init__(self, program: Program, trace: Trace,
                  mgt: Optional[MiniGraphTable], compressed: bool) -> None:
         self.program = program
-        self.trace = trace
-        self.compressed = compressed
         table = decode_table(program, mgt)
         try:
             feed = table.trace_feed(trace)
@@ -182,24 +149,16 @@ class TraceFacts:
         else:
             self.addr = columns.pc
 
-        union = 0
-        for value in columns.flags:
-            union |= value
-        self.has_control = bool(union & TF_CONTROL)
-        self.has_load = bool(union & TF_LOAD)
-        self.has_store = bool(union & TF_STORE)
-        kinds = self.kind
-        self.has_fp = KIND_FP in kinds
-        self.has_handles = KIND_HANDLE in kinds
+        self.has_fp = KIND_FP in self.kind
         self.kernel_table = None
         self._line_cols: Dict[int, List[int]] = {}
 
     def line_col(self, line_bytes: int) -> List[int]:
         """Instruction-cache line tag (``address // line_bytes``) per entry.
 
-        Line geometry is per-lane config, but in practice a handful of line
-        sizes cover a whole grid; the column is memoized per size so sibling
-        lanes share it.
+        Line geometry is per-machine config, but in practice a handful of
+        line sizes cover a whole grid; the column is memoized per size so
+        every machine with that line size shares it.
         """
         col = self._line_cols.get(line_bytes)
         if col is None:
@@ -209,8 +168,8 @@ class TraceFacts:
 
 
 #: ``trace -> {(decode table, compressed) -> TraceFacts}``.  Weak on the
-#: trace so facts die with it; the decode table key keeps (program, MGT)
-#: variants of one trace distinct.
+#: trace so facts die with it (facts hold no reference back to the trace);
+#: the decode table key keeps (program, MGT) variants of one trace distinct.
 _FACTS: "weakref.WeakKeyDictionary[Trace, Dict]" = weakref.WeakKeyDictionary()
 
 
@@ -230,66 +189,26 @@ def trace_facts(program: Program, trace: Trace,
     return facts
 
 
-def _cache_geometry(cache: CacheConfig) -> Tuple[int, int, int, int]:
-    return (cache.size_bytes, cache.associativity, cache.line_bytes,
-            cache.hit_latency)
+def time_lane(facts: TraceFacts, config: MachineConfig,
+              max_cycles: int) -> PipelineStats:
+    """Admit ``config`` for the trace, then time it in :func:`_run_lane`.
 
-
-def lane_behavior_key(config: MachineConfig, facts: TraceFacts) -> Tuple:
-    """Timing-relevant identity of ``config`` *on this trace*.
-
-    Two lanes with equal keys are indistinguishable to the kernel — every
-    config field that the trace cannot exercise is dropped (``fp_units``
-    without FP entries, predictor geometry without control transfers, memory
-    ports without loads/stores, the ALU-pipeline split without handles) —
-    so they simulate once and share the statistics.  Fields a handle-bearing
-    trace can reach indirectly (FUBMP reservations touch load/store ports
-    and the data cache) are kept whenever handles are present.
+    The one admission-and-run step behind both
+    :func:`~repro.uarch.pipeline.simulate_program` and
+    :meth:`BatchedTimingSimulator.run`.  Raises what ``TimingSimulator``
+    raises for the same pair: the FP admission ``ConfigError`` here, the
+    geometry ``ValueError`` and runtime ``TimingError`` in the kernel
+    (decode errors already surfaced as ``TimingError`` in
+    :func:`trace_facts`).
     """
-    key: List = [
-        config.fetch_width, config.rename_width, config.issue_width,
-        config.retire_width, config.front_end_depth,
-        config.register_read_latency, config.scheduler_latency,
-        config.rob_size, config.issue_queue_size, config.lsq_size,
-        config.physical_registers, config.architected_registers,
-        _cache_geometry(config.icache), _cache_geometry(config.l2cache),
-        config.memory_latency,
-    ]
-    if facts.has_fp:
-        key.append(config.fp_units)
-    if facts.has_control:
-        key.append((config.predictor_entries, config.btb_entries,
-                    config.btb_associativity,
-                    config.misprediction_redirect_penalty))
-    if facts.has_handles:
-        key.append((config.plain_alu_units, config.alu_pipelines,
-                    config.sliding_window_scheduler,
-                    config.max_memory_handles_per_cycle,
-                    config.minigraph_replay_penalty,
-                    config.load_ports, config.store_ports,
-                    _cache_geometry(config.dcache),
-                    config.store_set_entries,
-                    config.ordering_violation_penalty))
-    else:
-        key.append(config.int_alu_units)
-        if facts.has_load:
-            key.append((config.load_ports, _cache_geometry(config.dcache)))
-        if facts.has_store:
-            key.append(config.store_ports)
-        if facts.has_load and facts.has_store:
-            key.append((config.store_set_entries,
-                        config.ordering_violation_penalty))
-    return tuple(key)
+    if facts.has_fp and config.fp_units == 0:
+        raise fp_admission_error(config, facts.program)
+    return _run_lane(facts, config, max_cycles)
 
 
 class TimingLane:
-    """One lane of a batched pass: a machine config over a decoded trace.
-
-    The quadruple ``(program, trace, mgt, compressed_layout)`` names the
-    lane's trace cursor — it resolves (via :func:`trace_facts` interning) to
-    the shared :class:`TraceFacts` the lane iterates, so two lanes over the
-    same quadruple share columns even when their configs differ.
-    """
+    """One lane: a machine config over a (program, trace, MGT, layout)
+    quadruple, which resolves to its shared :class:`TraceFacts`."""
 
     __slots__ = ("program", "trace", "config", "mgt", "compressed_layout")
 
@@ -305,22 +224,14 @@ class TimingLane:
 
 
 class BatchedTimingSimulator:
-    """Simulate many (decoded trace, machine configuration) lanes at once.
+    """Time a list of (decoded trace, machine configuration) lanes.
 
-    The positional constructor is the shared-trace form — one trace, many
-    machines; :meth:`from_lanes` is the general cross-trace form, where each
-    :class:`TimingLane` carries its own trace cursor and one pass mixes
-    lanes over different traces.
-
-    Construction performs the same per-machine admission checks as the
-    scalar :class:`~repro.uarch.pipeline.TimingSimulator` — but *per lane*,
-    against that lane's own trace facts, so one inadmissible machine (e.g.
-    ``fp_units=0`` against an FP trace) lands in :attr:`lane_errors` without
-    poisoning its sibling lanes (including siblings over other traces).
-    :meth:`run` likewise records per-lane runtime errors (deadlock watchdog,
-    scheduler misconfiguration) instead of aborting the pass; callers that
-    want scalar semantics use :func:`simulate_many`, which re-raises the
-    first lane error.
+    The positional constructor is the one-trace form — one trace, many
+    machines; :meth:`from_lanes` takes :class:`TimingLane` objects, each
+    with its own trace.  :meth:`run` times the lanes in order through
+    :func:`time_lane` and records each lane's ``ConfigError`` or
+    ``TimingError`` in :attr:`lane_errors` instead of raising it, so one
+    inadmissible machine never costs its siblings their statistics.
     """
 
     def __init__(self, program: Program, trace: Trace,
@@ -328,104 +239,36 @@ class BatchedTimingSimulator:
                  mgt: Optional[MiniGraphTable] = None,
                  compressed_layout: bool = False) -> None:
         facts = trace_facts(program, trace, mgt, compressed_layout)
-        self._bind([facts] * len(configs), list(configs))
+        self._lanes = [(facts, config) for config in configs]
+        #: lane index -> the error ``simulate_program`` would raise for it.
+        self.lane_errors: Dict[int, Exception] = {}
 
     @classmethod
     def from_lanes(cls, lanes: Sequence[TimingLane]
                    ) -> "BatchedTimingSimulator":
-        """The cross-trace constructor: one pass over heterogeneous lanes."""
+        """Lanes over any mix of traces, timed in the given order."""
         self = cls.__new__(cls)
-        self._bind([trace_facts(lane.program, lane.trace, lane.mgt,
-                                lane.compressed_layout) for lane in lanes],
-                   [lane.config for lane in lanes])
+        self._lanes = [(trace_facts(lane.program, lane.trace, lane.mgt,
+                                    lane.compressed_layout), lane.config)
+                       for lane in lanes]
+        self.lane_errors = {}
         return self
-
-    def _bind(self, facts: List[TraceFacts],
-              configs: List[MachineConfig]) -> None:
-        # Structure-of-arrays lane state: parallel per-lane lists.  A lane's
-        # trace cursor is its interned TraceFacts (trace identity, decoded
-        # column views, length); its commit position lives inside _run_lane
-        # while the lane is active.
-        self._facts = facts
-        self._configs = configs
-        #: Distinct decoded traces across the pass's lanes.
-        self.trace_count = len({id(lane_facts) for lane_facts in facts})
-        #: Whether this pass mixes lanes over different decoded traces.
-        self.cross_trace = self.trace_count > 1
-        #: lane index -> the error that lane would raise under the scalar
-        #: path (admission errors at construction, runtime errors after run).
-        self.lane_errors: Dict[int, Exception] = {}
-        #: Lanes served by a behavior-identical sibling's simulation.
-        self.deduped_lanes = 0
-        for lane, (lane_facts, config) in enumerate(zip(facts, configs)):
-            if lane_facts.has_fp and config.fp_units == 0:
-                self.lane_errors[lane] = fp_admission_error(
-                    config, lane_facts.program)
-
-    @property
-    def lanes(self) -> int:
-        return len(self._configs)
 
     def run(self, *, max_cycles: int = 5_000_000
             ) -> List[Optional[PipelineStats]]:
-        """Simulate every admissible lane; returns per-lane statistics.
+        """Time every lane; returns per-lane statistics in lane order.
 
-        The result list is parallel to the constructor's lane sequence;
-        errored lanes hold ``None`` and their exception sits in
+        Errored lanes hold ``None`` and their exception sits in
         :attr:`lane_errors`.
-
-        Lanes dedup per ``(trace facts, behavior key)`` — facts are interned,
-        so identity distinguishes traces — and the active set retires whole
-        lanes in deterministic first-lane order: lanes are architecturally
-        independent, so a lane ends the moment it commits its last trace
-        entry, and short-trace lanes never pad to the pass's longest lane.
         """
-        results: List[Optional[PipelineStats]] = [None] * len(self._configs)
-        groups: Dict[Tuple, List[int]] = {}
-        for lane, (lane_facts, config) in enumerate(zip(self._facts,
-                                                        self._configs)):
-            if lane in self.lane_errors:
-                continue
-            groups.setdefault((lane_facts, lane_behavior_key(config,
-                                                             lane_facts)),
-                              []).append(lane)
-        self.deduped_lanes = sum(len(lanes) - 1 for lanes in groups.values())
-        for (facts, _), lanes in groups.items():
+        results: List[Optional[PipelineStats]] = []
+        for lane, (facts, config) in enumerate(self._lanes):
             try:
-                stats = _run_lane(facts, self._configs[lanes[0]], max_cycles)
+                results.append(time_lane(facts, config, max_cycles))
             except (ConfigError, TimingError) as error:
-                self.lane_errors[lanes[0]] = error
-                if self._configs[lanes[0]].name in str(error):
-                    # The message embeds the representative's config name, so
-                    # sibling lanes must produce their own (they fail the same
-                    # way, and such raises happen early in the simulation).
-                    for lane in lanes[1:]:
-                        try:
-                            _run_lane(facts, self._configs[lane], max_cycles)
-                        except (ConfigError, TimingError) as sibling_error:
-                            self.lane_errors[lane] = sibling_error
-                else:
-                    for lane in lanes[1:]:
-                        self.lane_errors[lane] = error
-                continue
-            results[lanes[0]] = stats
-            for lane in lanes[1:]:
-                results[lane] = copy(stats)
+                self.lane_errors[lane] = error
+                results.append(None)
         return results
-
-
-def simulate_many(program: Program, trace: Trace,
-                  configs: Sequence[MachineConfig], *,
-                  mgt: Optional[MiniGraphTable] = None,
-                  compressed_layout: bool = False,
-                  max_cycles: int = 5_000_000) -> List[PipelineStats]:
-    """Batched ``simulate_program``: scalar error semantics, many machines."""
-    batch = BatchedTimingSimulator(program, trace, configs, mgt=mgt,
-                                   compressed_layout=compressed_layout)
-    results = batch.run(max_cycles=max_cycles)
-    if batch.lane_errors:
-        raise batch.lane_errors[min(batch.lane_errors)]
-    return results  # type: ignore[return-value]
 
 
 def _run_lane(facts: TraceFacts, config: MachineConfig, max_cycles: int,
@@ -474,14 +317,14 @@ def _run_lane_python(facts: TraceFacts, config: MachineConfig,
                      max_cycles: int) -> PipelineStats:
     """The fused per-lane kernel: one machine over the shared trace facts.
 
-    This is the scalar pipeline's stage sequence (retire → complete → issue
-    → rename → fetch → occupancy accounting) flattened into one function
-    over flat arrays, with all state in locals.  Every branch mirrors
+    This is the reference pipeline's stage sequence (retire → complete →
+    issue → rename → fetch → occupancy accounting) flattened into one
+    function over flat arrays, with all state in locals.  Every branch mirrors
     ``TimingSimulator`` exactly — the golden-equivalence tests compare the
     two bit for bit — plus the idle-span jump described in the module
     docstring.
     """
-    # -- shared trace columns (read-only broadcast state) ----------------------
+    # -- shared trace columns (read-only) ---------------------------------------
     flags_col = facts.flags
     pc_col = facts.pc
     size_col = facts.size

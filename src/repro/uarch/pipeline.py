@@ -37,6 +37,11 @@ preserving the relative effects the paper measures:
 * memory-ordering violations are charged as a fetch-redirect penalty at the
   offending load (plus store-set training) rather than by rolling back
   renamed state.
+
+:class:`TimingSimulator` is the reference form of this model.  Timing runs
+call :func:`simulate_program`, which drives the same model as the fused
+kernel of :mod:`repro.uarch.batch` (compiled C, or Python without a
+compiler) with bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -82,8 +87,8 @@ _SLOT_LOST = 2
 def fp_admission_error(config: MachineConfig, program: Program) -> ConfigError:
     """The admission error for an FP trace on a machine with no FP units.
 
-    Shared between the scalar simulator and the batched kernel so a lane
-    rejected at batch construction raises exactly the scalar error.
+    Shared between the reference simulator and the fused kernel so both
+    raise exactly the same error.
     """
     return ConfigError(
         f"machine {config.name!r} has fp_units=0 but the trace for "
@@ -144,7 +149,13 @@ class FetchLayout:
 
 
 class TimingSimulator:
-    """Out-of-order pipeline model for one program/trace pair."""
+    """Out-of-order pipeline model for one program/trace pair.
+
+    The reference model: timing runs go through :func:`simulate_program`
+    (the fused kernel in :mod:`repro.uarch.batch`), and the golden-stats
+    tests, the fuzz oracles and ``tools/check_kernel.py`` compare that
+    kernel against this class bit for bit.
+    """
 
     def __init__(self, program: Program, trace: Trace, config: MachineConfig, *,
                  mgt: Optional[MiniGraphTable] = None,
@@ -760,8 +771,15 @@ class TimingSimulator:
 
 def simulate_program(program: Program, trace: Trace, config: MachineConfig, *,
                      mgt: Optional[MiniGraphTable] = None,
-                     compressed_layout: bool = False) -> PipelineStats:
-    """Convenience wrapper: build a :class:`TimingSimulator` and run it."""
-    simulator = TimingSimulator(program, trace, config, mgt=mgt,
-                                compressed_layout=compressed_layout)
-    return simulator.run()
+                     compressed_layout: bool = False,
+                     max_cycles: int = 5_000_000) -> PipelineStats:
+    """Time ``trace`` of ``program`` on ``config``: the one timing call.
+
+    Runs the fused kernel (:func:`repro.uarch.batch.time_lane`: the C
+    kernel, or the Python kernel without a compiler) after the same
+    admission checks as :class:`TimingSimulator`, whose statistics and
+    errors it reproduces exactly.
+    """
+    from .batch import time_lane, trace_facts
+    return time_lane(trace_facts(program, trace, mgt, compressed_layout),
+                     config, max_cycles)

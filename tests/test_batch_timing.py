@@ -1,41 +1,30 @@
-"""The batched multi-machine timing kernel: bit-identity with the scalar path.
+"""The fused timing kernel against the reference ``TimingSimulator``.
 
-``BatchedTimingSimulator`` drives one decoded columnar trace through many
-``MachineConfig`` lanes per pass; everything the grid engine builds on it —
-``Session.prime_timing``, the planner's ``timing_batches``, ``run_grid``'s
-batched stages — promises rows *bit-identical* to scalar
-``simulate_program``.  These tests pin that promise: golden-stats identity,
-per-lane equality across the full divergent-geometry machine catalog,
-lane-partition boundaries (1, M, M+1 machines), per-lane admission-error
-isolation (one ``fp_units=0`` lane must not poison its siblings), and
-``--resume`` interop between scalar- and batched-produced row artifacts in
-both directions.
+Every timing run goes through the fused kernel (``simulate_program`` and
+``BatchedTimingSimulator`` share one admission-and-run step); the
+object-model ``TimingSimulator`` is the reference it must reproduce bit for
+bit.  These tests pin that promise beyond the golden workloads (which
+``tests/test_golden_stats.py`` checks for both engines): per-lane equality
+across the full divergent-geometry machine catalog, per-lane admission-error
+isolation (one ``fp_units=0`` lane must not cost its siblings their
+statistics), ``from_lanes`` lists that mix traces, and ``--resume`` interop
+between row artifacts produced under the C and the Python kernel, in both
+directions.
 """
 
 import dataclasses
-import json
-import math
-from pathlib import Path
 
 import pytest
 
 from repro import prepare_minigraph_run
 from repro.api import RunSpec, Session
-from repro.grid.planner import pack_lane_groups, timing_batches
 from repro.sim.functional import run_program
-from repro.uarch.batch import (
-    DEFAULT_MAX_LANES,
-    BatchedTimingSimulator,
-    TimingLane,
-    simulate_many,
-)
+from repro.uarch import batch as batch_module, ckernel
+from repro.uarch.batch import BatchedTimingSimulator, TimingLane
 from repro.uarch.catalog import machine_config, machine_names
 from repro.uarch.config import ConfigError, baseline_config
-from repro.uarch.pipeline import TimingError, simulate_program
+from repro.uarch.pipeline import TimingError, TimingSimulator, simulate_program
 from repro.workloads import load_benchmark
-
-GOLDEN_PATH = Path(__file__).parent / "golden" / "timing_stats.json"
-GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 BUDGET = 3_000
 
@@ -44,56 +33,41 @@ def _stats_equal(a, b) -> bool:
     return dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
-def _scalar_outcomes(program, trace, configs, **kwargs):
-    """Reference lane outcomes: stats, or the (type, message) of the error."""
+def _reference(program, trace, config, **kwargs):
+    """The reference model's statistics for one lane."""
+    return TimingSimulator(program, trace, config, **kwargs).run()
+
+
+def _reference_outcomes(program, trace, configs, *, simulate=_reference,
+                        **kwargs):
+    """Lane outcomes — stats, or the (type, message) of the error — of the
+    reference model, or of ``simulate`` (e.g. ``simulate_program``)."""
     outcomes = []
     for config in configs:
         try:
-            outcomes.append(simulate_program(program, trace, config, **kwargs))
+            outcomes.append(simulate(program, trace, config, **kwargs))
         except (ConfigError, TimingError) as error:
             outcomes.append((type(error).__name__, str(error)))
     return outcomes
 
 
-class TestGoldenIdentity:
-    """Batched timing must reproduce the pinned golden statistics."""
-
-    @pytest.mark.parametrize("workload", sorted(GOLDEN))
-    def test_primed_timing_matches_golden_stats(self, workload):
-        expected = GOLDEN[workload]
-        session = Session()
-        spec = RunSpec(benchmark=workload, budget=expected["budget"])
-        primed = session.prime_timing([spec])
-        assert primed >= 2                     # baseline + mini-graph lanes
-        # The baseline-trace and mini-graph-trace lane groups pack into one
-        # cross-trace pass (they total well under the lane cap).
-        assert session.stats.batched_timing_passes == 1
-        assert session.stats.batched_timing_cross_trace_lanes == primed
-        assert session.stats.batched_timing_shared_trace_lanes == 0
-        timing_runs_after_prime = session.stats.timing_runs
-        artifacts = session.run(spec)
-        # The run must be served from the primed cache — no scalar timing.
-        assert session.stats.timing_runs == timing_runs_after_prime
-        assert artifacts.baseline_timing.as_dict() == expected["baseline"], \
-            f"{workload}: batched baseline timing diverged from golden"
-        assert artifacts.timing.as_dict() == expected["minigraph"], \
-            f"{workload}: batched mini-graph timing diverged from golden"
-
-
 class TestCatalogEquivalence:
-    """Every catalog machine, as one divergent-geometry batched pass."""
+    """Every catalog machine over one trace, against the reference.
+
+    (Test names say "scalar" for the reference ``TimingSimulator``.)
+    """
 
     def test_baseline_trace_all_catalog_machines(self):
         program = load_benchmark("bitcount", "reference")
         trace = run_program(program, max_instructions=BUDGET).trace
         configs = [machine_config(name) for name in machine_names()]
-        expected = _scalar_outcomes(program, trace, configs)
+        expected = _reference_outcomes(program, trace, configs)
         batch = BatchedTimingSimulator(program, trace, configs)
         results = batch.run()
         assert not batch.lane_errors
         for lane, expect in enumerate(expected):
             assert _stats_equal(results[lane], expect), \
-                f"lane {lane} ({configs[lane].name}) diverged from scalar"
+                f"lane {lane} ({configs[lane].name}) diverged from reference"
 
     @pytest.mark.parametrize("compressed", (False, True))
     def test_minigraph_trace_lane_errors_match_scalar(self, compressed):
@@ -101,85 +75,38 @@ class TestCatalogEquivalence:
         program = load_benchmark("crc", "reference")
         run = prepare_minigraph_run(program, budget=BUDGET)
         configs = [machine_config(name) for name in machine_names()]
-        expected = _scalar_outcomes(run.rewritten, run.rewritten_result.trace,
-                                    configs, mgt=run.mgt,
-                                    compressed_layout=compressed)
+        expected = _reference_outcomes(run.rewritten,
+                                       run.rewritten_result.trace, configs,
+                                       mgt=run.mgt,
+                                       compressed_layout=compressed)
         batch = BatchedTimingSimulator(run.rewritten,
                                        run.rewritten_result.trace, configs,
                                        mgt=run.mgt,
                                        compressed_layout=compressed)
         results = batch.run()
         # The catalog mixes handle-capable and plain machines, so some lanes
-        # must reject the handle trace — exactly as the scalar path does.
+        # must reject the handle trace — exactly as the reference does.
         assert any(isinstance(item, tuple) for item in expected)
-        for lane, expect in enumerate(expected):
-            error = batch.lane_errors.get(lane)
-            if isinstance(expect, tuple):
-                assert error is not None, \
-                    f"lane {lane} should have raised {expect[0]}"
-                assert (type(error).__name__, str(error)) == expect
-            else:
-                assert error is None, f"lane {lane}: unexpected {error!r}"
-                assert _stats_equal(results[lane], expect), \
-                    f"lane {lane} ({configs[lane].name}) diverged from scalar"
-
-    def test_simulate_many_single_lane_equals_simulate_program(self):
-        program = load_benchmark("fnvmix", "reference")
-        trace = run_program(program, max_instructions=BUDGET).trace
-        config = baseline_config()
-        [stats] = simulate_many(program, trace, [config])
-        assert _stats_equal(stats, simulate_program(program, trace, config))
+        _assert_lanes_match(batch, results, expected, configs)
+        # simulate_program, lane by lane, gives the same outcomes.
+        assert _reference_outcomes(run.rewritten, run.rewritten_result.trace,
+                                   configs, simulate=simulate_program,
+                                   mgt=run.mgt,
+                                   compressed_layout=compressed) == expected
 
 
-class TestLanePartitioning:
-    """1, M and M+1 machines split into bounded passes with identical rows."""
-
-    def _specs(self, count):
-        # Distinct resolved identities only: the lane collector collapses
-        # machines that differ in display name alone (e.g. the catalog's
-        # baseline vs prf164), which would under-fill the partitions.
-        configs, seen = [], set()
-        for name in machine_names():
-            config = machine_config(name)
-            key = config.resolve().key
-            if key not in seen:
-                seen.add(key)
-                configs.append(config)
-        assert len(configs) > DEFAULT_MAX_LANES   # M+1 is a real boundary
-        configs = configs[:count]
-        return [RunSpec(benchmark="bitcount", budget=BUDGET, policy=None,
-                        machine=config, baseline_machine=config)
-                for config in configs]
-
-    @pytest.mark.parametrize("count", (1, DEFAULT_MAX_LANES,
-                                       DEFAULT_MAX_LANES + 1))
-    def test_boundary_counts_prime_identical_stats(self, count):
-        specs = self._specs(count)
-        session = Session()
-        primed = session.prime_timing(specs)
-        assert primed == count
-        assert session.stats.batched_timing_passes \
-            == math.ceil(count / DEFAULT_MAX_LANES)
-        assert session.stats.batched_timing_lanes == count
-        scalar = Session()
-        for spec in specs:
-            batched = session.run(spec).timing
-            reference = scalar.run(spec).timing
-            assert _stats_equal(batched, reference)
-
-    def test_planner_timing_batches_partition(self):
-        specs = self._specs(DEFAULT_MAX_LANES + 1)
-        batches = timing_batches(specs)
-        assert [batch.lane_count for batch in batches] \
-            == [DEFAULT_MAX_LANES, 1]
-        assert all(not batch.minigraph for batch in batches)
-        # Lane order is deterministic: input order, duplicates collapsed.
-        assert batches == timing_batches(specs)
-
-    def test_max_lanes_one_degenerates_to_scalar_batches(self):
-        specs = self._specs(3)
-        batches = timing_batches(specs, max_lanes=1)
-        assert [batch.lane_count for batch in batches] == [1, 1, 1]
+def _assert_lanes_match(batch, results, expected, configs):
+    """Each lane's stats or recorded error equals its reference outcome."""
+    for lane, expect in enumerate(expected):
+        error = batch.lane_errors.get(lane)
+        if isinstance(expect, tuple):
+            assert error is not None, \
+                f"lane {lane} should have raised {expect[0]}"
+            assert (type(error).__name__, str(error)) == expect
+        else:
+            assert error is None, f"lane {lane}: unexpected {error!r}"
+            assert _stats_equal(results[lane], expect), \
+                f"lane {lane} ({configs[lane].name}) diverged from reference"
 
 
 class TestAdmissionIsolation:
@@ -201,29 +128,26 @@ class TestAdmissionIsolation:
         assert set(batch.lane_errors) == {1}
         error = batch.lane_errors[1]
         assert isinstance(error, ConfigError)
-        # The error is the scalar admission error, verbatim.
-        with pytest.raises(ConfigError) as scalar:
+        # The error is the reference admission error, verbatim, and
+        # simulate_program raises it too.
+        with pytest.raises(ConfigError) as reference_error:
+            TimingSimulator(program, trace, bad)
+        assert str(error) == str(reference_error.value)
+        with pytest.raises(ConfigError) as fused_error:
             simulate_program(program, trace, bad)
-        assert str(error) == str(scalar.value)
-        reference = simulate_program(program, trace, good)
+        assert str(fused_error.value) == str(reference_error.value)
+        reference = _reference(program, trace, good)
         assert _stats_equal(results[0], reference)
         assert _stats_equal(results[2], reference)
 
-    def test_simulate_many_raises_first_lane_error(self):
-        program, trace = self._fp_program()
-        bad = dataclasses.replace(baseline_config(), name="fp-less",
-                                  fp_units=0)
-        with pytest.raises(ConfigError):
-            simulate_many(program, trace, [baseline_config(), bad])
-
 
 class TestCrossTraceKernel:
-    """Lanes over different decoded traces retire through one fused pass."""
+    """``from_lanes`` lists mixing traces: each lane matches its reference."""
 
     def test_mixed_trace_catalog_matrix(self):
-        # The catalog equivalence matrix, extended to mixed-trace groups:
-        # bitcount's baseline trace and crc's handle-bearing mini-graph
-        # trace interleave through every catalog machine in one pass.
+        # The catalog equivalence matrix over two traces: bitcount's
+        # baseline trace and crc's handle-bearing mini-graph trace alternate
+        # through every catalog machine in one lane list.
         bit = load_benchmark("bitcount", "reference")
         bit_trace = run_program(bit, max_instructions=BUDGET).trace
         crc = prepare_minigraph_run(load_benchmark("crc", "reference"),
@@ -235,32 +159,22 @@ class TestCrossTraceKernel:
                 lanes.append(TimingLane(crc.rewritten,
                                         crc.rewritten_result.trace, config,
                                         mgt=crc.mgt))
-                expected.append(_scalar_outcomes(
+                expected.append(_reference_outcomes(
                     crc.rewritten, crc.rewritten_result.trace, [config],
                     mgt=crc.mgt)[0])
             else:
                 lanes.append(TimingLane(bit, bit_trace, config))
-                expected.append(_scalar_outcomes(bit, bit_trace,
-                                                 [config])[0])
+                expected.append(_reference_outcomes(bit, bit_trace,
+                                                    [config])[0])
         batch = BatchedTimingSimulator.from_lanes(lanes)
-        assert batch.cross_trace and batch.trace_count == 2
         results = batch.run()
         # Plain machines on the handle trace must still error per lane.
         assert any(isinstance(item, tuple) for item in expected)
-        for lane, expect in enumerate(expected):
-            error = batch.lane_errors.get(lane)
-            if isinstance(expect, tuple):
-                assert error is not None, \
-                    f"lane {lane} should have raised {expect[0]}"
-                assert (type(error).__name__, str(error)) == expect
-            else:
-                assert error is None, f"lane {lane}: unexpected {error!r}"
-                assert _stats_equal(results[lane], expect), \
-                    f"lane {lane} ({configs[lane].name}) diverged from scalar"
+        _assert_lanes_match(batch, results, expected, configs)
 
     def test_lanes_finish_at_different_cycles(self):
-        # A short trace retires early while its long sibling keeps going;
-        # both lanes' stats equal their own scalar runs.
+        # Short and long traces alternate in one lane list; every lane's
+        # stats equal its own reference run.
         short_prog = load_benchmark("fnvmix", "reference")
         short_trace = run_program(short_prog, max_instructions=120).trace
         long_prog = load_benchmark("bitcount", "reference")
@@ -273,18 +187,16 @@ class TestCrossTraceKernel:
              TimingLane(short_prog, short_trace, configs[1]),
              TimingLane(long_prog, long_trace, configs[1])])
         results = batch.run()
-        assert batch.cross_trace and not batch.lane_errors
+        assert not batch.lane_errors
         for lane, (program, trace) in enumerate(
                 [(short_prog, short_trace), (long_prog, long_trace)] * 2):
-            reference = simulate_program(program, trace,
-                                         configs[lane // 2])
+            reference = _reference(program, trace, configs[lane // 2])
             assert _stats_equal(results[lane], reference), \
-                f"lane {lane} diverged from scalar"
+                f"lane {lane} diverged from reference"
 
     def test_one_entry_trace_batched_with_40k_trace(self):
-        # Extreme skew: one committed entry beside ~40k entries.  The short
-        # lane must cost one entry — whole-lane retirement, no padding —
-        # and both rows stay bit-identical to scalar.
+        # Extreme skew: one committed entry beside ~40k entries; both rows
+        # stay bit-identical to the reference.
         tiny_prog = load_benchmark("bitcount", "reference")
         tiny_trace = run_program(tiny_prog, max_instructions=1).trace
         big_prog = load_benchmark("listchase", "reference")
@@ -296,14 +208,14 @@ class TestCrossTraceKernel:
             [TimingLane(tiny_prog, tiny_trace, config),
              TimingLane(big_prog, big_trace, config)])
         results = batch.run()
-        assert batch.cross_trace and not batch.lane_errors
+        assert not batch.lane_errors
         assert _stats_equal(results[0],
-                            simulate_program(tiny_prog, tiny_trace, config))
+                            _reference(tiny_prog, tiny_trace, config))
         assert _stats_equal(results[1],
-                            simulate_program(big_prog, big_trace, config))
+                            _reference(big_prog, big_trace, config))
 
     def test_admission_error_lane_in_mixed_group(self):
-        # An inadmissible lane in a mixed-trace pass errors alone; sibling
+        # An inadmissible lane in a mixed-trace list errors alone; sibling
         # lanes over the other trace are untouched.
         from repro.fuzz.generator import SynthSpec, generate_program
         spec = SynthSpec.sample(1004).with_dials(fp_density=40)
@@ -318,82 +230,40 @@ class TestCrossTraceKernel:
              TimingLane(fp_prog, fp_trace, bad),
              TimingLane(fp_prog, fp_trace, good)])
         results = batch.run()
-        assert batch.cross_trace
         assert set(batch.lane_errors) == {1}
-        with pytest.raises(ConfigError) as scalar:
-            simulate_program(fp_prog, fp_trace, bad)
-        assert str(batch.lane_errors[1]) == str(scalar.value)
-        assert _stats_equal(results[0],
-                            simulate_program(other, other_trace, good))
-        assert _stats_equal(results[2],
-                            simulate_program(fp_prog, fp_trace, good))
+        with pytest.raises(ConfigError) as reference_error:
+            TimingSimulator(fp_prog, fp_trace, bad)
+        assert str(batch.lane_errors[1]) == str(reference_error.value)
+        assert _stats_equal(results[0], _reference(other, other_trace, good))
+        assert _stats_equal(results[2], _reference(fp_prog, fp_trace, good))
 
 
-class TestLanePacking:
-    """The planner's longest-first best-fit bin-pack of lane groups."""
+@pytest.fixture
+def use_kernel(monkeypatch):
+    """Switch the process's timing kernel: ``use_kernel("c")`` or
+    ``use_kernel("python")`` (a missing compiler, as in the fallback
+    tests).  Skips when no C kernel can be built."""
+    loaded, info = ckernel.load_kernel()
+    if loaded is None:
+        pytest.skip(f"no C kernel: {info.reason}")
 
-    def test_full_bins_then_best_fit_remainders(self):
-        # Group 1 (longest trace) fills a whole pass of 8; its remainder
-        # opens a second pass that then absorbs both shorter groups whole.
-        shapes = [(3, 10), (9, 50), (4, 5)]
-        bins = pack_lane_groups(shapes, 8)
-        assert bins == [[(1, 0, 8)], [(1, 8, 9), (0, 0, 3), (2, 0, 4)]]
-        assert bins == pack_lane_groups(shapes, 8)   # deterministic
+    def switch(name):
+        if name == "c":
+            monkeypatch.setattr(ckernel, "_loaded", loaded)
+            monkeypatch.setattr(ckernel, "_info", info)
+        else:
+            monkeypatch.setenv("CC", "/nonexistent/cc")
+            monkeypatch.setattr(ckernel, "_loaded", None)
+            monkeypatch.setattr(ckernel, "_info", None)
+        lanes = {"c": 0, "python": 0}
+        monkeypatch.setattr(batch_module, "LANES_RUN", lanes)
+        return lanes
 
-    def test_best_fit_prefers_tightest_open_pass(self):
-        # Free space 3 vs 2: the 2-lane group lands in the tighter pass.
-        bins = pack_lane_groups([(5, 30), (6, 20), (2, 10)], 8)
-        assert bins == [[(0, 0, 5)], [(1, 0, 6), (2, 0, 2)]]
-
-    def test_remainders_are_never_split(self):
-        # A 5-lane group does not fit the 2 free slots; it opens a new
-        # pass whole so its behavior-key dedup stays intact.
-        bins = pack_lane_groups([(6, 30), (5, 20)], 8)
-        assert bins == [[(0, 0, 6)], [(1, 0, 5)]]
-
-    def test_timing_batches_pack_across_traces(self):
-        # Two specs contribute four one-lane groups (two baseline traces,
-        # two mini-graph traces); they pack into a single cross-trace pass.
-        specs = [RunSpec(benchmark="bitcount", budget=BUDGET),
-                 RunSpec(benchmark="crc", budget=BUDGET)]
-        batches = timing_batches(specs)
-        assert len(batches) == 1
-        [batch] = batches
-        assert batch.cross_trace
-        assert batch.trace_count == 4
-        assert batch.lane_count == 4
-        # Capping at 2 lanes splits into two passes, each still spanning
-        # two traces.
-        halves = timing_batches(specs, max_lanes=2)
-        assert [item.lane_count for item in halves] == [2, 2]
-        assert all(item.cross_trace for item in halves)
-
-
-class TestMaxLanesCli:
-    """``--max-lanes`` is validated and plumbed through ``repro grid``."""
-
-    def test_grid_rejects_non_positive_max_lanes(self, capsys):
-        from repro.api.cli import main
-        assert main(["--no-disk-cache", "grid", "--name", "mini",
-                     "--max-lanes", "0"]) == 2
-        assert "--max-lanes" in capsys.readouterr().err
-
-    def test_bench_rejects_non_positive_max_lanes(self, capsys):
-        from repro.api.cli import main
-        assert main(["--no-disk-cache", "bench", "--max-lanes", "-3"]) == 2
-        assert "--max-lanes" in capsys.readouterr().err
-
-    def test_grid_runs_with_lane_cap(self, capsys):
-        from repro.api.cli import main
-        assert main(["--no-disk-cache", "--json", "grid", "--name", "mini",
-                     "--budget", str(BUDGET), "--workers", "0",
-                     "--max-lanes", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cells"] == 4
+    return switch
 
 
 class TestResumeInterop:
-    """Row artifacts are shared currency between scalar and batched runs."""
+    """Row artifacts are shared currency between the C and Python kernels."""
 
     def _grid(self):
         from repro.grid import Axis, GridSpec
@@ -404,36 +274,32 @@ class TestResumeInterop:
 
         def build(point):
             policy = DEFAULT_POLICY if point["mode"] == "int-mem" else None
-            # Skewed budgets: the batched direction packs short and long
-            # traces into one cross-trace pass with early lane retirement.
+            # Skewed budgets: short and long traces in one campaign.
             budget = BUDGET if point["benchmark"] == "bitcount" else 400
             return RunSpec(benchmark=point["benchmark"], budget=budget,
                            policy=policy)
 
         return GridSpec(name="interop-grid", axes=axes, build=build)
 
-    @pytest.mark.parametrize("first_batched", (True, False))
-    def test_resume_across_kernels_both_directions(self, tmp_path,
-                                                   first_batched):
+    @pytest.mark.parametrize("producer_in_c", (True, False))
+    def test_resume_across_kernels_both_directions(self, tmp_path, use_kernel,
+                                                   producer_in_c):
+        producer, consumer = ("c", "python") if producer_in_c \
+            else ("python", "c")
         grid = self._grid()
         cache = tmp_path / "cache"
-        with Session(cache_dir=cache) as producer:
-            fresh = list(producer.run_grid(grid, workers=0,
-                                           batch=first_batched))
-        with Session(cache_dir=cache) as consumer:
-            resumed = list(consumer.run_grid(grid, workers=0, resume=True,
-                                             batch=not first_batched))
+        lanes = use_kernel(producer)
+        with Session(cache_dir=cache) as session:
+            fresh = list(session.run_grid(grid, workers=0))
+        assert lanes[producer] > 0 and lanes[consumer] == 0
+        lanes = use_kernel(consumer)
+        with Session(cache_dir=cache) as session:
+            resumed = list(session.run_grid(grid, workers=0, resume=True))
         assert all(row.resumed for row in resumed)
         assert [row.as_dict() | {"resumed": False} for row in resumed] \
             == [row.as_dict() for row in fresh]
-
-    def test_batched_and_scalar_rows_are_bit_identical(self):
-        grid = self._grid()
-        session = Session()
-        batched = list(session.run_grid(grid, workers=0, batch=True))
-        # The grid's lanes span several decoded traces, so the batched
-        # direction must actually have exercised the cross-trace kernel.
-        assert session.stats.batched_timing_cross_trace_lanes > 0
-        scalar = list(Session().run_grid(grid, workers=0, batch=False))
-        assert [row.as_dict() for row in batched] \
-            == [row.as_dict() for row in scalar]
+        # The consumer's kernel recomputes every row bit-identically.
+        recomputed = list(Session().run_grid(grid, workers=0))
+        assert lanes[consumer] > 0 and lanes[producer] == 0
+        assert [row.as_dict() for row in recomputed] \
+            == [row.as_dict() for row in fresh]

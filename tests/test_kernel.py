@@ -154,7 +154,7 @@ class TestErrorParity:
         spec = RunSpec(benchmark="crc", budget=2_000)     # int-mem policy
         facts = trace_facts(session.rewritten(spec),
                             session.minigraph_trace(spec), session.mgt(spec))
-        assert facts.has_handles
+        assert any(facts.is_handle)
         c_error, python_error = _both(kernel, facts, integer_minigraph_config())
         assert c_error == python_error
         assert c_error[0] == "TimingError"
@@ -224,21 +224,28 @@ class TestBuildCache:
             == [Path(paths.pop()).name]        # no temporary left behind
 
 
+#: ``repro`` argv (after the global options) of a serial mini grid and of
+#: one ``repro run``: both time through the fused kernel.
+GRID_ARGV = ["grid", "--name", "mini", "--budget", "1500", "--workers", "0"]
+RUN_ARGV = ["run", "bitcount", "--budget", "1500"]
+
+
 class TestStatsLine:
-    def _stats_run(self, cache, capsys):
+    def _stats_run(self, cache, capsys, argv=GRID_ARGV):
         from repro.api.cli import main
 
-        assert main(["--cache-dir", str(cache), "--json", "--stats", "grid",
-                     "--name", "mini", "--budget", "1500",
-                     "--workers", "0"]) == 0
+        assert main(["--cache-dir", str(cache), "--json", "--stats",
+                     *argv]) == 0
         return json.loads(capsys.readouterr().out)["timing_kernel"]
 
     def test_names_the_kernel_that_timed_lanes(self, kernel, tmp_path,
                                                monkeypatch, capsys):
-        monkeypatch.setattr(batch, "LANES_RUN", {"c": 0, "python": 0})
-        reported = self._stats_run(tmp_path, capsys)
-        assert reported["name"] == "c" and reported["path"]
-        assert reported["lanes"]["c"] > 0 and reported["lanes"]["python"] == 0
+        for argv in (GRID_ARGV, RUN_ARGV):
+            monkeypatch.setattr(batch, "LANES_RUN", {"c": 0, "python": 0})
+            reported = self._stats_run(tmp_path / argv[0], capsys, argv)
+            assert reported["name"] == "c" and reported["path"], argv
+            assert reported["lanes"]["c"] > 0, argv
+            assert reported["lanes"]["python"] == 0, argv
 
     def test_never_loads_a_kernel_to_report_it(self, tmp_path, monkeypatch,
                                                capsys):
