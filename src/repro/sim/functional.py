@@ -175,8 +175,8 @@ _ACCESS_SIZE = {"ldq": 8, "ldl": 4, "ldwu": 2, "ldbu": 1, "ldt": 8,
 _UNSIGNED_LOADS = {"ldbu", "ldwu", "ldq", "ldt"}
 
 
-#: Per-opcode branch predicates, resolved once at plan-build time instead of
-#: per committed branch; :func:`_branch_taken` delegates here.
+#: Per-opcode branch predicates, resolved once at plan-build (or handle
+#: compile) time instead of per committed branch.
 _BRANCH_FNS: Dict[str, Callable[[int], bool]] = {
     "beq": lambda v: v == 0,
     "bne": lambda v: v != 0,
@@ -185,13 +185,6 @@ _BRANCH_FNS: Dict[str, Callable[[int], bool]] = {
     "bgt": lambda v: _signed(v) > 0,
     "ble": lambda v: _signed(v) <= 0,
 }
-
-
-def _branch_taken(op: str, value: int) -> bool:
-    try:
-        return _BRANCH_FNS[op](value)
-    except KeyError:
-        raise SimulationError(f"not a conditional branch: {op}") from None
 
 #: Per-opcode FP semantics (FP values are carried as 64-bit integers; the
 #: workloads use FP only lightly, so fixed-point-style integer arithmetic is
@@ -225,6 +218,12 @@ _FP_FNS: Dict[str, Callable[[int, int], int]] = {
 # per-index block id / profile increment tables) instead of two dict
 # operations per committed instruction.  Plans are cached per program in a
 # process-wide id-keyed weak map, mirroring :mod:`repro.uarch.decode`.
+#
+# A plan is MGT-independent, so it holds mini-graph handles uncompiled
+# (``_K_HANDLE``).  Each simulator runs a private copy of the plan's steps and
+# compiles a handle the first time it executes it: the MGT template becomes
+# one flat ``_K_MINIGRAPH`` step (micro-ops over operand slots plus the
+# pre-packed row flags) that replaces the handle step in that copy.
 # ---------------------------------------------------------------------------
 
 _K_NOP = 0
@@ -240,6 +239,26 @@ _K_CALL = 9
 _K_INDIRECT = 10
 _K_HALT = 11
 _K_HANDLE = 12
+_K_MINIGRAPH = 13
+
+#: Micro-op codes of a compiled handle, one micro-op per template
+#: instruction.  A micro-op is a ``(code, fn, s0, s1, imm)`` tuple; ``s0`` and
+#: ``s1`` are slots of the handle's value list ``[E0, E1, 0, M0, M1, ...]``
+#: (absent, immediate and zero operands read the ``_SLOT_ZERO`` slot, the
+#: result of template instruction ``i`` lands in ``_SLOT_INTERIOR + i``).
+#: ``fn`` is the ALU function, the access size of a load or store, or the
+#: branch predicate; a load's ``s1`` is its signedness; ``imm`` is the ALU
+#: immediate, memory displacement or control target.  ``_U_INVALID`` raises
+#: its ``fn`` message when executed.
+_U_ALU = 0
+_U_LOAD = 1
+_U_STORE = 2
+_U_BRANCH = 3
+_U_JUMP = 4
+_U_INVALID = 5
+
+_SLOT_ZERO = 2
+_SLOT_INTERIOR = 3
 
 
 def _norm_reg(reg: Optional[int]) -> Optional[int]:
@@ -247,6 +266,17 @@ def _norm_reg(reg: Optional[int]) -> Optional[int]:
     if reg is None or is_zero_reg(reg):
         return None
     return reg
+
+
+def _slot(ref: Optional[OperandRef]) -> int:
+    """Value-list slot a compiled handle reads for template operand ``ref``."""
+    if ref is None:
+        return _SLOT_ZERO
+    if ref.kind is OperandKind.EXTERNAL:
+        return ref.index
+    if ref.kind is OperandKind.INTERNAL:
+        return _SLOT_INTERIOR + ref.index
+    return _SLOT_ZERO
 
 
 #: Static row flags, resolved once at plan-build time.
@@ -359,6 +389,9 @@ class FunctionalSimulator:
         self._program = program
         self._mgt = mgt
         self._plan = _PLANS.get(program)
+        # This simulator's copy of the plan steps: executed handles are
+        # compiled against ``mgt`` in place (see _compile_handle).
+        self._steps = list(self._plan.steps)
 
     @property
     def program(self) -> Program:
@@ -392,8 +425,7 @@ class FunctionalSimulator:
             indices_append = indices.append
             rows_append = lambda row: indices_append(row[1])  # noqa: E731
 
-        plan = self._plan
-        steps = plan.steps
+        steps = self._steps
         plan_size = len(steps)
         text_base = program.text_base
         mem_load = memory.load
@@ -448,12 +480,42 @@ class FunctionalSimulator:
                 address = ((registers[rs1] if rs1 is not None else 0) + imm) & mask
                 mem_store(address, registers[rs2] if rs2 is not None else 0, size)
                 row = (entry_pc, index, 1, next_pc, _ROW_STORE, address, -1)
-            elif kind == _K_HANDLE:
-                _, insn = step
-                row, next_pc, count = self._execute_handle(
-                    insn, pc, index, registers, memory)
-                executed += count
-                rows_append(row)
+            elif kind == _K_MINIGRAPH:
+                (_, rs1, rs2, rd, out_slot, uops, size, mgid, next_pc,
+                 flags, taken_flags, fall_flags) = step
+                # Interior values are transient: they live in this list,
+                # never in the architectural register file.
+                values = [registers[rs1] if rs1 is not None else 0,
+                          registers[rs2] if rs2 is not None else 0, 0]
+                push = values.append
+                address = 0
+                for code, fn, s0, s1, imm in uops:
+                    if code == _U_ALU:
+                        push(fn(values[s0], values[s1], imm))
+                    elif code == _U_LOAD:
+                        address = (values[s0] + imm) & mask
+                        push(mem_load(address, fn, signed=s1) & mask)
+                    elif code == _U_STORE:
+                        address = (values[s0] + imm) & mask
+                        mem_store(address, values[s1], fn)
+                        push(0)
+                    elif code == _U_BRANCH:
+                        if fn(values[s0]):
+                            next_pc = imm
+                            flags = taken_flags
+                        else:
+                            flags = fall_flags
+                        push(0)
+                    elif code == _U_JUMP:
+                        next_pc = imm
+                        flags = taken_flags
+                        push(0)
+                    else:
+                        raise SimulationError(fn)
+                if out_slot is not None:
+                    registers[rd] = values[out_slot] & mask
+                executed += size
+                rows_append((pc, index, size, next_pc, flags, address, mgid))
                 pc = next_pc
                 continue
             elif kind == _K_CMOVNE or kind == _K_CMOVEQ:
@@ -490,6 +552,11 @@ class FunctionalSimulator:
                 rows_append(row)
                 halted = True
                 break
+            elif kind == _K_HANDLE:
+                # First execution of this handle: compile it into the step
+                # list and dispatch the same pc again.
+                steps[index] = self._compile_handle(step[1], pc)
+                continue
             else:  # pragma: no cover - plans contain no other kinds
                 raise SimulationError(f"corrupt execution plan at {pc:#x}")
 
@@ -554,83 +621,52 @@ class FunctionalSimulator:
                 return block.start_index + offset
         return block.start_index
 
-    def _read(self, registers: List[int], reg: Optional[int]) -> int:
-        if reg is None or is_zero_reg(reg):
-            return 0
-        return registers[reg]
+    def _compile_handle(self, handle: Instruction, pc: int
+                        ) -> Tuple[Any, ...]:
+        """Compile the handle at ``pc`` into a ``_K_MINIGRAPH`` step.
 
-    def _write(self, registers: List[int], reg: Optional[int], value: int) -> None:
-        if reg is None or is_zero_reg(reg):
-            return
-        registers[reg] = _wrap(value)
-
-    def _execute_handle(self, handle: Instruction, pc: int, index: int,
-                        registers: List[int], memory: Memory
-                        ) -> Tuple[Tuple[int, int, int, int, int, int, int],
-                                   int, int]:
+        Raises what executing the handle raises before any of its template
+        instructions runs: a :class:`SimulationError` naming ``pc`` without an
+        MGT, :class:`~repro.minigraph.mgt.MgtError` for an unknown MGID.
+        """
         if self._mgt is None:
             raise SimulationError(
                 f"{self._program.name}: handle at {pc:#x} but no MGT was supplied")
-        entry = self._mgt.lookup(handle.mgid)
-        template = entry.template
-        external_values = (self._read(registers, handle.rs1),
-                           self._read(registers, handle.rs2))
-        interior: Dict[int, int] = {}
-        next_pc = pc + INSTRUCTION_BYTES
-        taken: Optional[bool] = None
-        effective_address: Optional[int] = None
-        is_load = is_store = False
-        output_value: Optional[int] = None
-
-        def resolve(ref: Optional[OperandRef]) -> int:
-            if ref is None:
-                return 0
-            if ref.kind is OperandKind.EXTERNAL:
-                return external_values[ref.index]
-            if ref.kind is OperandKind.INTERNAL:
-                return interior[ref.index]
-            return 0
-
-        for position, template_insn in enumerate(template.instructions):
+        template = self._mgt.lookup(handle.mgid).template
+        uops: List[Tuple[Any, ...]] = []
+        for template_insn in template.instructions:
             op = template_insn.op
             spec = template_insn.spec
-            a = resolve(template_insn.src0)
-            b = resolve(template_insn.src1)
-            result = 0
+            s0 = _slot(template_insn.src0)
+            s1 = _slot(template_insn.src1)
+            imm = template_insn.imm
             if spec.op_class in (OpClass.ALU, OpClass.MUL):
-                result = _ALU[op](a, b, template_insn.imm)
+                uops.append((_U_ALU, _ALU[op], s0, s1, imm))
             elif spec.is_load:
-                is_load = True
-                effective_address = _wrap(a + (template_insn.imm or 0))
-                size = _ACCESS_SIZE[op]
-                result = _wrap(memory.load(effective_address, size,
-                                           signed=op not in _UNSIGNED_LOADS))
+                uops.append((_U_LOAD, _ACCESS_SIZE[op], s0,
+                             op not in _UNSIGNED_LOADS, imm or 0))
             elif spec.is_store:
-                is_store = True
-                effective_address = _wrap(a + (template_insn.imm or 0))
-                memory.store(effective_address, b, _ACCESS_SIZE[op])
+                uops.append((_U_STORE, _ACCESS_SIZE[op], s0, s1, imm or 0))
             elif spec.op_class is OpClass.BRANCH:
-                taken = _branch_taken(op, a)
-                if taken:
-                    next_pc = template_insn.imm
+                uops.append((_U_BRANCH, _BRANCH_FNS[op], s0, s1, imm))
             elif spec.op_class is OpClass.JUMP:
-                taken = True
-                next_pc = template_insn.imm
+                uops.append((_U_JUMP, None, s0, s1, imm))
             else:
-                raise SimulationError(f"opcode {op} not allowed inside a mini-graph")
-            interior[position] = result
-            if template.out_index == position:
-                output_value = result
+                uops.append((_U_INVALID,
+                             f"opcode {op} not allowed inside a mini-graph",
+                             s0, s1, imm))
+        rd = _norm_reg(handle.rd)
+        out_slot = None if template.out_index is None or rd is None \
+            else _SLOT_INTERIOR + template.out_index
 
-        if template.out_index is not None:
-            self._write(registers, handle.rd, output_value or 0)
+        def row_flags(taken: Optional[bool]) -> int:
+            return pack_flags(template.has_branch, taken, template.has_load,
+                              template.has_store, template.has_memory, True)
 
-        flags = pack_flags(template.has_branch, taken, is_load, is_store,
-                           effective_address is not None, True)
-        row = (pc, index, template.size, next_pc, flags,
-               effective_address if effective_address is not None else 0,
-               handle.mgid)
-        return row, next_pc, template.size
+        return (_K_MINIGRAPH, _norm_reg(handle.rs1), _norm_reg(handle.rs2),
+                rd, out_slot, tuple(uops), template.size, handle.mgid,
+                pc + INSTRUCTION_BYTES, row_flags(None), row_flags(True),
+                row_flags(False))
 
 
 def run_program(program: Program, *, mgt: Optional[MiniGraphTable] = None,

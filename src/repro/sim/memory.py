@@ -37,11 +37,17 @@ class Memory:
 
     @classmethod
     def from_image(cls, image: Mapping[int, int]) -> "Memory":
-        """Build a memory from a program's initial data segment."""
-        memory = cls()
+        """Build a memory from a program's initial data segment.
+
+        Equivalent to one quadword :meth:`store` per image word, without the
+        read-modify-write: image words must be 8-byte aligned.
+        """
+        words: Dict[int, int] = {}
         for address, value in image.items():
-            memory.store(address, value, 8)
-        return memory
+            if address % _WORD_BYTES:
+                raise MemoryError_(f"misaligned 8-byte store at {address:#x}")
+            words[address] = value & _WORD_MASK
+        return cls(words)
 
     # -- raw word access -------------------------------------------------------
 

@@ -44,6 +44,7 @@ of lanes in order and records each lane's error instead of raising it.
 
 from __future__ import annotations
 
+import struct
 import weakref
 from array import array
 from collections import deque
@@ -69,13 +70,24 @@ from ..sim.trace import (
 )
 from .ckernel import CKernel, active_kernel
 from .config import ConfigError, MachineConfig
-from .decode import KIND_FP, DecodeError, decode_table
+from .decode import KIND_FP, DecodedOp, DecodeError, decode_table
 from .dyninst import FOREVER, NEVER
 from .pipeline import FetchLayout, TimingError, fp_admission_error
 from .stats import PipelineStats
 
 #: Lanes this process has run in each kernel (the ``--stats`` kernel line).
 LANES_RUN: Dict[str, int] = {"c": 0, "python": 0}
+
+
+#: Decode record of one static instruction: four native ``int32`` fields
+#: (latency, src0, src1, dest) then four bytes (kind, needs_dest, is_cond,
+#: is_handle).  ``TraceFacts`` joins one record per trace entry and copies
+#: each field out with a strided slice.
+_RECORD = struct.Struct("=4ib3?")
+_pack_record = _RECORD.pack
+_RECORD_SIZE = _RECORD.size
+_RECORD_WORDS = _RECORD_SIZE // 4
+_RECORD_BYTE_FIELDS = struct.calcsize("=4i")
 
 
 class TraceFacts:
@@ -86,10 +98,14 @@ class TraceFacts:
     """
 
     __slots__ = (
-        "program", "feed", "total",
+        "program", "total",
+        # Interned decode records by static index (None where the trace
+        # never commits that instruction) and the trace's handle indices in
+        # first-commit order.
+        "ops", "handle_indices",
         # Packed trace columns (straight from Trace.columns()).
         "pc", "index", "size", "next_pc", "flags", "ea",
-        # Decode columns gathered from the interned DecodedOp feed.
+        # Decode columns gathered from per-static-index records.
         "kind", "latency", "src0", "src1", "dest", "needs_dest",
         "is_cond", "is_handle",
         # Fetch-address column (layout-resolved once for all machines).
@@ -104,52 +120,66 @@ class TraceFacts:
     def __init__(self, program: Program, trace: Trace,
                  mgt: Optional[MiniGraphTable], compressed: bool) -> None:
         self.program = program
-        table = decode_table(program, mgt)
+        columns = trace.columns()
+        index_column = columns.index
+        # Decode once per static instruction the trace commits, in
+        # first-commit order.
+        unique = list(dict.fromkeys(index_column))
+        op_at = decode_table(program, mgt).op_at
         try:
-            feed = table.trace_feed(trace)
+            decoded = [op_at(index) for index in unique]
         except DecodeError as error:
             raise TimingError(str(error)) from None
-        self.feed = feed
-        self.total = len(feed)
+        self.total = len(index_column)
 
-        columns = trace.columns()
         self.pc = columns.pc
-        self.index = columns.index
+        self.index = index_column
         self.size = columns.size
         self.next_pc = columns.next_pc
         self.flags = columns.flags
         self.ea = columns.effective_address
 
-        # Decode columns are compact typed arrays: the Python kernel indexes
-        # them and the C kernel reads their buffers in place.
-        self.kind = array("b", [op.kind for op in feed])
-        self.latency = array("i", [op.latency for op in feed])
-        src0 = array("i")
-        src1 = array("i")
-        for op in feed:
+        # One packed decode record per static index, gathered along the
+        # index column in one C-level join; each column is then a strided
+        # copy out of the joined records.  The columns are compact typed
+        # arrays: the Python kernel indexes them and the C kernel reads
+        # their buffers in place.
+        static_count = len(program.instructions)
+        ops: List[Optional[DecodedOp]] = [None] * static_count
+        records: List[Optional[bytes]] = [None] * static_count
+        handles = []
+        for index, op in zip(unique, decoded):
+            ops[index] = op
             s0, s1 = op.renamed_sources
-            src0.append(-1 if s0 is None else s0)
-            src1.append(-1 if s1 is None else s1)
-        self.src0 = src0
-        self.src1 = src1
-        self.dest = array("i", [-1 if op.dest is None else op.dest
-                                for op in feed])
-        self.needs_dest = array("B", [1 if op.needs_destination else 0
-                                      for op in feed])
-        self.is_cond = array("B", [1 if op.is_conditional_branch else 0
-                                   for op in feed])
-        self.is_handle = array("B", [1 if op.mgt_entry is not None else 0
-                                     for op in feed])
+            is_handle = op.mgt_entry is not None
+            records[index] = _pack_record(
+                op.latency, -1 if s0 is None else s0, -1 if s1 is None else s1,
+                -1 if op.dest is None else op.dest, op.kind,
+                op.needs_destination, op.is_conditional_branch, is_handle)
+            if is_handle:
+                handles.append(index)
+        self.ops = ops
+        self.handle_indices = tuple(handles)
+
+        joined = memoryview(b"".join(map(records.__getitem__, index_column)))
+        words = joined.cast("i")
+        self.latency, self.src0, self.src1, self.dest = (
+            array("i", words[field::_RECORD_WORDS].tobytes())
+            for field in range(4))
+        self.kind, self.needs_dest, self.is_cond, self.is_handle = (
+            array(code, joined[_RECORD_BYTE_FIELDS + field::_RECORD_SIZE]
+                  .tobytes())
+            for field, code in enumerate("bBBB"))
 
         if compressed:
             layout = FetchLayout(program, compressed=True)
             address_for_index = layout.address_for_index
             self.addr = array("Q", [address_for_index(i)
-                                    for i in columns.index])
+                                    for i in index_column])
         else:
             self.addr = columns.pc
 
-        self.has_fp = KIND_FP in self.kind
+        self.has_fp = any(op.kind == KIND_FP for op in decoded)
         self.kernel_table = None
         self._line_cols: Dict[int, List[int]] = {}
 
@@ -340,7 +370,8 @@ def _run_lane_python(facts: TraceFacts, config: MachineConfig,
     is_handle_col = facts.is_handle
     addr_col = facts.addr
     line_col = facts.line_col(config.icache.line_bytes)
-    feed = facts.feed
+    index_col = facts.index
+    ops = facts.ops
     total = facts.total
     _check_geometry(config)
 
@@ -804,7 +835,7 @@ def _run_lane_python(facts: TraceFacts, config: MachineConfig,
                     latency = latency_col[seq]
                     output_latency = latency
                 elif kind == kind_handle:
-                    op = feed[seq]
+                    op = ops[index_col[seq]]
                     if op.integer_only and alu_pipelines > 0:
                         if alu_pipelines - pipeline_used - now_pipeline <= 0:
                             deferred.append(seq)
@@ -987,7 +1018,8 @@ def _run_lane_python(facts: TraceFacts, config: MachineConfig,
                     # the terminal instruction issues.
                     heappush(busy_heap, cycle + execution_cycles)
                 else:
-                    raise TimingError(f"cannot issue opcode {feed[seq].op}")
+                    raise TimingError(
+                        f"cannot issue opcode {ops[index_col[seq]].op}")
 
                 # -- finish_issue, inlined --------------------------------
                 iq_count -= 1

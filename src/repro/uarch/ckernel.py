@@ -50,7 +50,6 @@ from ..minigraph.mgt import (
     FU_STORE,
 )
 from .config import MachineConfig
-from .decode import KIND_HANDLE
 from .pipeline import TimingError
 from .stats import PipelineStats
 
@@ -203,7 +202,8 @@ class CKernel:
                 f"scheduler; config {config.name!r} does not enable it")
         if status == _UNISSUABLE:
             raise TimingError(
-                f"cannot issue opcode {facts.feed[out[_OUT_ERROR_SEQ]].op}")
+                "cannot issue opcode "
+                f"{facts.ops[facts.index[out[_OUT_ERROR_SEQ]]].op}")
         if status == _NOMEM:
             raise MemoryError("timing kernel: out of memory")
         return None
@@ -274,12 +274,9 @@ def _build_table(facts) -> Optional[_LaneTable]:
     h_off = array("i", bytes(4 * static_count))
     h_len = array("i", bytes(4 * static_count))
     units = array("b")
-    seen = set()
-    for op in facts.feed:
-        if op.kind != KIND_HANDLE or op.index in seen:
-            continue
-        seen.add(op.index)
-        index = op.index
+    ops = facts.ops
+    for index in facts.handle_indices:
+        op = ops[index]
         h_flags[index] = ((_H_INTEGER_ONLY if op.integer_only else 0)
                           | (_H_HAS_LOAD if op.has_load else 0)
                           | (_H_HAS_INTERIOR_LOAD if op.has_interior_load

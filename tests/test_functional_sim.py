@@ -2,9 +2,19 @@
 
 import pytest
 
+from repro.isa.registers import ZERO_REG
+from repro.minigraph.mgt import MgtError, MiniGraphTable
+from repro.minigraph.templates import (
+    MiniGraphTemplate,
+    TemplateInstruction,
+    external,
+    internal,
+)
 from repro.program import Program
+from repro.program.rewriter import RewriteSite, rewrite_program
 from repro.sim import Memory, MemoryError_, run_program
-from repro.sim.functional import SimulationError
+from repro.sim.functional import FunctionalSimulator, SimulationError
+from repro.sim.trace import TF_HAS_MGID, pack_flags
 
 
 class TestMemory:
@@ -187,3 +197,291 @@ class TestFunctionalExecution:
           halt
         """
         assert _run(source).checksum() == _run(source).checksum()
+
+
+# -- mini-graph handles ----------------------------------------------------------
+#
+# Each case collapses part of a small program into a handle with a hand-built
+# template, then runs the unrewritten program and the rewritten one (with its
+# MGT) and compares final state plus every handle's trace row.  Registers the
+# original writes only inside a collapsed graph are interior values: the
+# handle keeps them out of the register file, so they are compared as zero.
+
+
+def _op_index(program, op, nth=0):
+    """Layout index of the ``nth`` instruction with mnemonic ``op``."""
+    return [index for index, insn in enumerate(program.instructions)
+            if insn.op == op][nth]
+
+
+def _collapse(program, sites):
+    """Rewrite ``program`` with ``sites`` = [(members, inputs, output,
+    template)], anchoring each handle at its first member; MGID = position."""
+    mgt = MiniGraphTable()
+    rewrite_sites = []
+    for mgid, (members, inputs, output, template) in enumerate(sites):
+        mgt.add(mgid, template)
+        rewrite_sites.append(RewriteSite(members[0], tuple(members), mgid,
+                                         tuple(inputs), output))
+    return rewrite_program(program, rewrite_sites).program, mgt
+
+
+def _handle_rows(result):
+    """``(index, size, next_pc, flags, effective_address, mgid)`` per handle
+    row, in commit order."""
+    columns = result.trace.columns()
+    return [(columns.index[row], columns.size[row], columns.next_pc[row],
+             columns.flags[row], columns.effective_address[row],
+             columns.mgid[row])
+            for row in range(len(columns.index))
+            if columns.flags[row] & TF_HAS_MGID]
+
+
+def _check_equivalent(program, rewritten, mgt, transient=()):
+    original = run_program(program)
+    collapsed = run_program(rewritten, mgt=mgt)
+    assert original.halted and collapsed.halted
+    assert collapsed.instructions_executed == original.instructions_executed
+    expected = list(original.registers)
+    for reg in transient:
+        assert expected[reg] != 0   # the original did write it
+        expected[reg] = 0
+    assert collapsed.registers == expected
+    assert collapsed.memory.words == original.memory.words
+    return collapsed
+
+
+def _pc(program, index):
+    return program.text_base + 4 * index
+
+
+_ALU_ROW = pack_flags(False, None, False, False, False, True)
+_LOAD_ROW = pack_flags(False, None, True, False, True, True)
+_STORE_ROW = pack_flags(False, None, False, True, True, True)
+_TAKEN_ROW = pack_flags(True, True, False, False, False, True)
+_FALL_ROW = pack_flags(True, False, False, False, False, True)
+
+
+class TestHandleExecution:
+    def test_alu_chain(self):
+        program = Program.from_assembly("chain", """
+          ldi r1, 5
+          addqi r1,3,r3
+          slli r3,2,r3
+          xor r3,r1,r2
+          halt
+        """)
+        first = _op_index(program, "addqi")
+        template = MiniGraphTemplate(instructions=(
+            TemplateInstruction("addqi", src0=external(0), imm=3),
+            TemplateInstruction("slli", src0=internal(0), imm=2),
+            TemplateInstruction("xor", src0=internal(1), src1=external(0)),
+        ), num_inputs=1, out_index=2)
+        rewritten, mgt = _collapse(program, [
+            ((first, first + 1, first + 2), (1,), 2, template)])
+        result = _check_equivalent(program, rewritten, mgt, transient=(3,))
+        assert result.register(2) == ((5 + 3) << 2) ^ 5
+        assert _handle_rows(result) == [
+            (first, 3, _pc(program, first) + 4, _ALU_ROW, 0, 0)]
+
+    def test_signed_and_unsigned_sub_word_loads(self):
+        program = Program.from_assembly("loads", """
+        .data buf 0x8081828384858687
+          la r1, buf
+          ldl r2,4(r1)
+          addqi r2,1,r2
+          ldbu r3,1(r1)
+          addqi r3,1,r3
+          ldwu r4,2(r1)
+          srli r4,4,r4
+          halt
+        """)
+        base = program.data_labels["buf"]
+        sites = []
+        for op, disp, tail, imm in (("ldl", 4, "addqi", 1),
+                                    ("ldbu", 1, "addqi", 1),
+                                    ("ldwu", 2, "srli", 4)):
+            load = _op_index(program, op)
+            out = program.instructions[load].rd
+            sites.append(((load, load + 1), (1,), out, MiniGraphTemplate(
+                instructions=(
+                    TemplateInstruction(op, src0=external(0), imm=disp),
+                    TemplateInstruction(tail, src0=internal(0), imm=imm)),
+                num_inputs=1, out_index=1)))
+        rewritten, mgt = _collapse(program, sites)
+        result = _check_equivalent(program, rewritten, mgt)
+        assert result.register(2) == (0x80818283 - (1 << 32) + 1) & (2**64 - 1)
+        assert result.register(3) == 0x86 + 1
+        assert result.register(4) == 0x8485 >> 4
+        assert _handle_rows(result) == [
+            (members[0], 2, _pc(program, members[0]) + 4, _LOAD_ROW,
+             base + disp, mgid)
+            for mgid, ((members, _, _, _), disp)
+            in enumerate(zip(sites, (4, 1, 2)))]
+
+    def test_store(self):
+        program = Program.from_assembly("store", """
+        .data buf 0x1111111111111111 0x2222222222222222
+          la r1, buf
+          ldi r2, 0x1234
+          addqi r2,1,r3
+          stl r3,12(r1)
+          halt
+        """)
+        base = program.data_labels["buf"]
+        first = _op_index(program, "addqi")
+        template = MiniGraphTemplate(instructions=(
+            TemplateInstruction("addqi", src0=external(1), imm=1),
+            TemplateInstruction("stl", src0=external(0), src1=internal(0),
+                                imm=12),
+        ), num_inputs=2, out_index=None)
+        rewritten, mgt = _collapse(program, [
+            ((first, first + 1), (1, 2), None, template)])
+        result = _check_equivalent(program, rewritten, mgt, transient=(3,))
+        assert result.memory.load_word(base + 8) == 0x0000123522222222
+        assert _handle_rows(result) == [
+            (first, 2, _pc(program, first) + 4, _STORE_ROW, base + 12, 0)]
+
+    def _branch_loop(self, output):
+        program = Program.from_assembly("loop", """
+          clr r1
+        loop:
+          addqi r1,1,r1
+          cmplti r1,3,r2
+          bne r2,loop
+          halt
+        """)
+        compare = _op_index(program, "cmplti")
+        target = program.instructions[compare + 1].imm
+        template = MiniGraphTemplate(instructions=(
+            TemplateInstruction("cmplti", src0=external(0), imm=3),
+            TemplateInstruction("bne", src0=internal(0), imm=target),
+        ), num_inputs=1, out_index=None if output is None else 0)
+        rewritten, mgt = _collapse(program, [
+            ((compare, compare + 1), (1,), output, template)])
+        return program, rewritten, mgt, compare, target
+
+    def test_compare_and_branch_taken_and_not_taken(self):
+        program, rewritten, mgt, compare, target = self._branch_loop(2)
+        result = _check_equivalent(program, rewritten, mgt)
+        taken = (compare, 2, target, _TAKEN_ROW, 0, 0)
+        fall = (compare, 2, _pc(program, compare) + 4, _FALL_ROW, 0, 0)
+        assert _handle_rows(result) == [taken, taken, fall]
+
+    def test_out_index_none_leaves_interior_transient(self):
+        program, rewritten, mgt, compare, _ = self._branch_loop(None)
+        assert rewritten.instructions[compare].rd == ZERO_REG
+        result = _check_equivalent(program, rewritten, mgt, transient=())
+        # r2 ends at 0 in the original too (the last compare fails), so
+        # check the handle wrote no register along the way instead.
+        assert all(value == 0 for reg, value in enumerate(result.registers)
+                   if reg != 1)
+        assert [row[3] for row in _handle_rows(result)] == \
+            [_TAKEN_ROW, _TAKEN_ROW, _FALL_ROW]
+
+    def test_terminal_jump(self):
+        program = Program.from_assembly("jump", """
+          ldi r1, 4
+          addqi r1,1,r2
+          br done
+          ldi r2, 99
+        done:
+          halt
+        """)
+        first = _op_index(program, "addqi")
+        target = program.instructions[first + 1].imm
+        template = MiniGraphTemplate(instructions=(
+            TemplateInstruction("addqi", src0=external(0), imm=1),
+            TemplateInstruction("br", imm=target),
+        ), num_inputs=1, out_index=0)
+        rewritten, mgt = _collapse(program, [
+            ((first, first + 1), (1,), 2, template)])
+        result = _check_equivalent(program, rewritten, mgt)
+        assert result.register(2) == 5
+        assert _handle_rows(result) == [(first, 2, target, _TAKEN_ROW, 0, 0)]
+
+    def test_zero_register_output_is_discarded(self):
+        program = Program.from_assembly("zero", """
+          ldi r1, 6
+          addqi r1,1,r3
+          addq r3,r1,r31
+          halt
+        """)
+        first = _op_index(program, "addqi")
+        template = MiniGraphTemplate(instructions=(
+            TemplateInstruction("addqi", src0=external(0), imm=1),
+            TemplateInstruction("addq", src0=internal(0), src1=external(0)),
+        ), num_inputs=1, out_index=1)
+        rewritten, mgt = _collapse(program, [
+            ((first, first + 1), (1,), ZERO_REG, template)])
+        result = _check_equivalent(program, rewritten, mgt, transient=(3,))
+        assert result.register(ZERO_REG) == 0
+        assert _handle_rows(result) == [
+            (first, 2, _pc(program, first) + 4, _ALU_ROW, 0, 0)]
+
+    def test_simulator_reruns_compiled_handles_identically(self):
+        program, rewritten, mgt, _, _ = self._branch_loop(2)
+        simulator = FunctionalSimulator(rewritten, mgt=mgt)
+        first, second = simulator.run(), simulator.run()
+        assert first.registers == second.registers
+        assert list(first.trace.columns().flags) == \
+            list(second.trace.columns().flags)
+
+
+class TestHandleErrors:
+    """A handle fails when it first executes, with the same error as
+    before handles were compiled."""
+
+    def _looping(self):
+        # Two plain instructions, then the handle at index 2.
+        program, rewritten, mgt, compare, _ = \
+            TestHandleExecution()._branch_loop(2)
+        assert compare == 2
+        return rewritten, mgt, _pc(program, compare)
+
+    def test_missing_mgt_raises_at_the_handle(self):
+        rewritten, _, pc = self._looping()
+        # The budget expires before the handle: no error.
+        assert not run_program(rewritten, max_instructions=2).halted
+        with pytest.raises(SimulationError) as error:
+            run_program(rewritten, max_instructions=3)
+        assert str(error.value) == \
+            f"loop.mg: handle at {pc:#x} but no MGT was supplied"
+
+    def test_unknown_mgid_raises_at_the_handle(self):
+        rewritten, _, _ = self._looping()
+        empty = MiniGraphTable()
+        assert not run_program(rewritten, mgt=empty,
+                               max_instructions=2).halted
+        with pytest.raises(MgtError) as error:
+            run_program(rewritten, mgt=empty, max_instructions=3)
+        assert str(error.value) == "MGID 0 not present in the MGT"
+
+    def test_unexecuted_handles_are_never_compiled(self):
+        program = Program.from_assembly("dead", """
+          ldi r1, 1
+          halt
+          addqi r1,1,r2
+          addqi r2,1,r2
+        """)
+        first = _op_index(program, "addqi")
+        template = MiniGraphTemplate(instructions=(
+            TemplateInstruction("addqi", src0=external(0), imm=1),
+            TemplateInstruction("addqi", src0=internal(0), imm=1),
+        ), num_inputs=1, out_index=1)
+        rewritten, _ = _collapse(program, [
+            ((first, first + 1), (1,), 2, template)])
+        assert run_program(rewritten).halted
+        assert run_program(rewritten, mgt=MiniGraphTable()).halted
+
+    def test_ineligible_template_opcode_raises_when_reached(self):
+        program, rewritten, mgt, _, _ = TestHandleExecution()._branch_loop(2)
+        template = mgt.lookup(0).template
+        # Templates validate on construction; force an ineligible opcode in
+        # afterwards to reach the simulator's own check.
+        object.__setattr__(template, "instructions", (
+            TemplateInstruction("addt", src0=external(0), src1=external(0)),
+        ) + template.instructions[1:])
+        with pytest.raises(SimulationError) as error:
+            run_program(rewritten, mgt=mgt)
+        assert str(error.value) == "opcode addt not allowed inside a mini-graph"

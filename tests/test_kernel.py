@@ -35,6 +35,7 @@ from repro.uarch.config import (
     integer_memory_minigraph_config,
     integer_minigraph_config,
 )
+from repro.uarch.decode import KIND_FP, decode_table
 from repro.workloads import QUICK_BENCHMARKS, load_benchmark
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "timing_stats.json"
@@ -131,6 +132,42 @@ class TestEquivalence:
                        integer_memory_minigraph_config(collapsing=True)):
             c_stats, python_stats = _both(kernel, facts, config)
             assert c_stats == python_stats, config.name
+
+
+class TestTraceFacts:
+    """The gathered decode columns equal a per-entry read of the reference
+    simulator's decode feed."""
+
+    @pytest.mark.parametrize("workload", ("adpcm.encode", "bitcount"))
+    def test_decode_columns_match_the_reference_feed(self, workload):
+        session = Session()
+        spec = RunSpec(benchmark=workload, budget=3_000)
+        for program, trace, mgt in (
+                (session.program(spec), session.baseline_trace(spec), None),
+                (session.rewritten(spec), session.minigraph_trace(spec),
+                 session.mgt(spec))):
+            facts = trace_facts(program, trace, mgt)
+            feed = decode_table(program, mgt).trace_feed(trace)
+            sources = [op.renamed_sources for op in feed]
+            expected = {
+                "kind": [op.kind for op in feed],
+                "latency": [op.latency for op in feed],
+                "src0": [-1 if s0 is None else s0 for s0, _ in sources],
+                "src1": [-1 if s1 is None else s1 for _, s1 in sources],
+                "dest": [-1 if op.dest is None else op.dest for op in feed],
+                "needs_dest": [int(op.needs_destination) for op in feed],
+                "is_cond": [int(op.is_conditional_branch) for op in feed],
+                "is_handle": [int(op.mgt_entry is not None) for op in feed],
+            }
+            for name, column in expected.items():
+                assert getattr(facts, name).tolist() == column, name
+            assert [facts.ops[index] for index in facts.index] == feed
+            first_handles = list(dict.fromkeys(
+                op.index for op in feed if op.mgt_entry is not None))
+            assert list(facts.handle_indices) == first_handles
+            assert facts.has_fp == any(kind == KIND_FP
+                                       for kind in expected["kind"])
+        assert facts.handle_indices, "the rewritten trace commits handles"
 
 
 class TestErrorParity:

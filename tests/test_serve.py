@@ -584,7 +584,12 @@ class TestBrokenPipe:
                   "'--name', 'mini', '--benchmarks', 'bitcount', "
                   "'--budget', '500']))")
         reader, writer = os.pipe()
+        # The child must import repro from this checkout even when it is not
+        # installed (pytest's `pythonpath` setting does not reach children).
         env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         process = subprocess.Popen(
             [_sys.executable, "-c", script], stdout=writer,
             stderr=subprocess.PIPE, env=env)
